@@ -7,7 +7,7 @@ pytest-benchmark's normal statistics.
 
 import pytest
 
-from repro.common.bits import BitReader, BitWriter
+from repro.common.bits import BitWriter
 from repro.common.bloom import BloomSignature
 from repro.common.config import MachineConfig, RecorderConfig, RecorderMode
 from repro.common.h3 import H3Hash
@@ -81,13 +81,9 @@ def test_perf_bit_stream(benchmark):
         for index in range(2000):
             writer.write(index & 0x7, 3)
             writer.write(index, 32)
-        reader = BitReader(writer.getvalue(), writer.bit_length)
-        total = 0
-        for _ in range(2000):
-            total += reader.read(3) + reader.read(32)
-        return total
+        return writer.getvalue()
 
-    benchmark(work)
+    assert len(benchmark(work)) == (2000 * 35 + 7) // 8
 
 
 def test_perf_simulator_throughput(benchmark):

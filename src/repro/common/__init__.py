@@ -1,6 +1,6 @@
 """Shared infrastructure: hashing, signatures, bit streams, config, stats."""
 
-from .bits import BitReader, BitWriter
+from .bits import BitWriter
 from .bloom import BloomSignature
 from .config import (
     CoherenceProtocol,
@@ -28,7 +28,6 @@ from .hashing import canonical_json, canonicalize, stable_digest
 from .stats import Histogram, OnlineStats, geometric_mean, ratio
 
 __all__ = [
-    "BitReader",
     "CoherenceProtocol",
     "BitWriter",
     "BloomSignature",

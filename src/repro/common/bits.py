@@ -2,14 +2,14 @@
 
 The paper reports log sizes in *bits* per kilo-instruction (Figure 11), so
 the log encoder packs entries at bit granularity rather than rounding every
-field up to a byte.  :class:`BitWriter` and :class:`BitReader` implement a
-simple MSB-first bit stream with fixed-width unsigned fields, which is all
-the log format (Figure 6(c)) needs.
+field up to a byte.  :class:`BitWriter` implements a simple MSB-first bit
+stream with fixed-width unsigned fields, which is all the log format
+(Figure 6(c)) needs; :func:`repro.recorder.logfmt.decode_log` reads it back.
 """
 
 from __future__ import annotations
 
-__all__ = ["BitWriter", "BitReader"]
+__all__ = ["BitWriter"]
 
 
 class BitWriter:
@@ -48,48 +48,3 @@ class BitWriter:
         if self._acc_bits:
             out += bytes([(self._acc << (8 - self._acc_bits)) & 0xFF])
         return out
-
-
-class BitReader:
-    """Sequential reader matching :class:`BitWriter`'s layout."""
-
-    __slots__ = ("_data", "_bit_pos", "_bit_len")
-
-    def __init__(self, data: bytes, bit_len: int | None = None):
-        self._data = data
-        self._bit_pos = 0
-        self._bit_len = len(data) * 8 if bit_len is None else bit_len
-        if self._bit_len > len(data) * 8:
-            raise ValueError("bit_len exceeds available data")
-
-    def read(self, width: int) -> int:
-        """Consume and return the next unsigned ``width``-bit field."""
-        if width <= 0:
-            raise ValueError(f"width must be positive, got {width}")
-        if self._bit_pos + width > self._bit_len:
-            raise EOFError(
-                f"bit stream exhausted: need {width} bits at offset {self._bit_pos}, "
-                f"stream has {self._bit_len}")
-        value = 0
-        pos = self._bit_pos
-        remaining = width
-        while remaining:
-            byte = self._data[pos >> 3]
-            offset = pos & 7
-            take = min(8 - offset, remaining)
-            shift = 8 - offset - take
-            value = (value << take) | ((byte >> shift) & ((1 << take) - 1))
-            pos += take
-            remaining -= take
-        self._bit_pos = pos
-        return value
-
-    @property
-    def bits_remaining(self) -> int:
-        """Bits left before the stream (as delimited by ``bit_len``) ends."""
-        return self._bit_len - self._bit_pos
-
-    @property
-    def exhausted(self) -> bool:
-        """True when every bit has been consumed."""
-        return self._bit_pos >= self._bit_len

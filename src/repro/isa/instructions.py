@@ -25,6 +25,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Callable, NamedTuple
+
+from ..common.errors import WorkloadError
 
 __all__ = [
     "Opcode",
@@ -121,7 +125,7 @@ class Instruction:
     @property
     def is_memory(self) -> bool:
         """True for instructions the recorder tracks (loads/stores/RMWs)."""
-        return self.opcode in (Opcode.LOAD, Opcode.STORE, Opcode.RMW)
+        return self.opcode in _MEMORY
 
     @property
     def is_load_like(self) -> bool:
@@ -135,49 +139,87 @@ class Instruction:
 
     @property
     def is_branch(self) -> bool:
-        return self.opcode in (Opcode.BEQZ, Opcode.BNEZ, Opcode.JUMP)
+        return self.opcode in _BRANCHES
 
     def source_registers(self) -> tuple[int, ...]:
         """Registers this instruction reads (for dependence tracking)."""
-        sources = []
-        if self.opcode in (Opcode.BEQZ, Opcode.BNEZ):
-            sources.append(self.src1)
-        elif self.opcode is Opcode.ALU:
-            sources.append(self.src1)
-            if self.src2 is not None:
-                sources.append(self.src2)
-        elif self.opcode is Opcode.STORE:
-            sources.append(self.src1)
-        elif self.opcode is Opcode.RMW:
-            if self.src1 is not None:
-                sources.append(self.src1)
-        if self.is_memory and self.addr_base is not None:
-            sources.append(self.addr_base)
+        sources = _ROLES[self.opcode._value_].sources(self)
         return tuple(register for register in sources if register is not None)
 
     def destination_register(self) -> int | None:
         """Register written by this instruction, if any."""
-        if self.opcode in (Opcode.LOAD, Opcode.ALU, Opcode.MOVI, Opcode.RMW):
-            return self.dst
-        return None
+        destination = _ROLES[self.opcode._value_].destination
+        return None if destination is None else getattr(self, destination)
 
     def validate(self, program_length: int) -> None:
         """Sanity-check register indices and branch targets."""
-        from ..common.errors import WorkloadError
-
-        registers = list(self.source_registers())
-        destination = self.destination_register()
-        if destination is not None:
-            registers.append(destination)
-        for register in registers:
-            if not 0 <= register < NUM_REGS:
+        roles = _ROLES[self.opcode._value_]
+        for register in roles.registers(self):
+            if register is not None and not 0 <= register < NUM_REGS:
                 raise WorkloadError(f"register r{register} out of range in {self}")
-        if self.is_branch:
-            if self.target is None or not 0 <= self.target <= program_length:
-                raise WorkloadError(f"branch target {self.target} out of range in {self}")
-        if self.is_memory and self.addr_base is None and self.addr_offset % WORD_BYTES:
+        if roles.branch and (self.target is None
+                             or not 0 <= self.target <= program_length):
+            raise WorkloadError(f"branch target {self.target} out of range in {self}")
+        if roles.memory and self.addr_base is None and self.addr_offset % WORD_BYTES:
             raise WorkloadError(f"unaligned absolute address in {self}")
-        if self.opcode is Opcode.ALU and self.alu_op is None:
-            raise WorkloadError(f"ALU instruction without alu_op: {self}")
-        if self.opcode is Opcode.RMW and self.rmw_op is None:
-            raise WorkloadError(f"RMW instruction without rmw_op: {self}")
+        if roles.operation is not None and getattr(self, roles.operation) is None:
+            raise WorkloadError(f"{self.opcode.name} instruction without "
+                                f"{roles.operation}: {self}")
+
+
+_MEMORY = (Opcode.LOAD, Opcode.STORE, Opcode.RMW)
+_BRANCHES = (Opcode.BEQZ, Opcode.BNEZ, Opcode.JUMP)
+
+
+class _Roles(NamedTuple):
+    """What dependence tracking and validation read off one opcode."""
+
+    sources: Callable[[Instruction], tuple]  # source register fields
+    destination: str | None                   # the register field written
+    registers: Callable[[Instruction], tuple]  # sources, then destination
+    branch: bool
+    memory: bool
+    operation: str | None                     # alu_op/rmw_op, required
+
+
+def _fields_getter(names: tuple[str, ...]) -> Callable[[Instruction], tuple]:
+    """``instruction -> tuple`` of the named fields (``attrgetter`` gives
+    a bare value for one name and has no zero-name form)."""
+    if not names:
+        return lambda instruction: ()
+    if len(names) == 1:
+        single = attrgetter(names[0])
+        return lambda instruction: (single(instruction),)
+    return attrgetter(*names)
+
+
+def _roles(opcode: Opcode, sources: tuple[str, ...], destination: str | None,
+           operation: str | None) -> _Roles:
+    written = () if destination is None else (destination,)
+    return _Roles(_fields_getter(sources), destination,
+                  _fields_getter(sources + written), opcode in _BRANCHES,
+                  opcode in _MEMORY, operation)
+
+
+#: Each opcode's register fields, written down once: the sources it reads,
+#: in dependence-tracking order, and the destination it writes.  A source
+#: field left ``None`` is unused (an ALU immediate, a TAS without operand,
+#: an absolute address).  Keyed by ``Opcode`` value and looked up through
+#: ``_value_``, a plain attribute: hashing an enum member, or reading its
+#: ``value`` property, is a Python-level call.
+_ROLES = {
+    opcode.value: _roles(opcode, sources, destination, operation)
+    for opcode, sources, destination, operation in (
+        (Opcode.LOAD, ("addr_base",), "dst", None),
+        (Opcode.STORE, ("src1", "addr_base"), None, None),
+        (Opcode.RMW, ("src1", "addr_base"), "dst", "rmw_op"),
+        (Opcode.FENCE, (), None, None),
+        (Opcode.ALU, ("src1", "src2"), "dst", "alu_op"),
+        (Opcode.MOVI, (), "dst", None),
+        (Opcode.BEQZ, ("src1",), None, None),
+        (Opcode.BNEZ, ("src1",), None, None),
+        (Opcode.JUMP, (), None, None),
+        (Opcode.NOP, (), None, None),
+        (Opcode.HALT, (), None, None),
+    )
+}

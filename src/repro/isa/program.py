@@ -24,10 +24,16 @@ class ThreadProgram:
         return self.instructions[index]
 
     def validate(self) -> None:
+        # Memoized like Program.validate: a builder validates the thread it
+        # returns and the Program the thread joins validates it again.
+        if getattr(self, "_validated", False):
+            return
         if not self.instructions:
             raise WorkloadError(f"thread program {self.name!r} is empty")
+        length = len(self.instructions)
         for instruction in self.instructions:
-            instruction.validate(len(self.instructions))
+            instruction.validate(length)
+        self._validated = True
 
 
 @dataclass

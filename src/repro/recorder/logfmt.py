@@ -31,9 +31,10 @@ kilo-instruction of uncompressed log.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
-from ..common.bits import BitReader, BitWriter
+from ..common.bits import BitWriter
 from ..common.config import RecorderConfig
 from ..common.errors import LogFormatError
 
@@ -160,35 +161,83 @@ def encode_log(entries, config: RecorderConfig) -> tuple[bytes, int]:
     return writer.getvalue(), writer.bit_length
 
 
+@functools.lru_cache(maxsize=None)
+def _payload_layouts(cisn_bits: int) -> tuple:
+    """Indexed by type tag: ``(entry class, payload bits, payload mask,
+    build)``, where ``build`` makes the entry from its payload read as one
+    MSB-first integer; ``None`` for the unassigned tags."""
+    def layout(kind, width, build):
+        return kind, width, (1 << width) - 1, build
+
+    offset_mask = (1 << _OFFSET_BITS) - 1
+    value_mask = (1 << _VALUE_BITS) - 1
+    store_addr = _VALUE_BITS + _OFFSET_BITS      # shift of the top field
+    rmw_new = _ADDR_BITS + _OFFSET_BITS
+    rmw_old = _VALUE_BITS + rmw_new
+    layouts = {
+        EntryType.INORDER_BLOCK: layout(InorderBlock, _BLOCK_BITS,
+                                        InorderBlock),
+        EntryType.REORDERED_LOAD: layout(ReorderedLoad, _VALUE_BITS,
+                                         ReorderedLoad),
+        EntryType.REORDERED_STORE: layout(
+            ReorderedStore, _ADDR_BITS + store_addr,
+            lambda v: ReorderedStore(v >> store_addr,
+                                     (v >> _OFFSET_BITS) & value_mask,
+                                     v & offset_mask)),
+        EntryType.REORDERED_RMW: layout(
+            ReorderedRmw, _VALUE_BITS + rmw_old,
+            lambda v: ReorderedRmw(v >> rmw_old, (v >> rmw_new) & value_mask,
+                                   (v >> _OFFSET_BITS) & value_mask,
+                                   v & offset_mask)),
+        EntryType.DUMMY: layout(Dummy, 0, lambda v: Dummy()),
+        EntryType.INTERVAL_FRAME: layout(
+            IntervalFrame, cisn_bits + _TIMESTAMP_BITS,
+            lambda v: IntervalFrame(v >> _TIMESTAMP_BITS,
+                                    v & ((1 << _TIMESTAMP_BITS) - 1))),
+    }
+    return tuple(map(layouts.get, range(1 << _TYPE_BITS)))
+
+
 def decode_log(data: bytes, bit_length: int, config: RecorderConfig) -> list[LogEntry]:
-    """Parse a bit stream produced by :func:`encode_log`."""
-    reader = BitReader(data, bit_length)
+    """Parse a bit stream produced by :func:`encode_log`.
+
+    Each entry is read as two windows: the 3-bit type tag, then its whole
+    payload, each as ``int.from_bytes`` of the bytes covering it, shifted
+    and masked.  Raises :class:`LogFormatError` naming the bit offset for
+    an unassigned type tag, a stream that ends inside an entry, and a
+    ``bit_length`` that is negative or longer than ``data``.
+    """
+    available = len(data) * 8
+    if bit_length < 0 or bit_length > available:
+        raise LogFormatError(f"log bit_length {bit_length} is outside the "
+                             f"{available} bits of data")
+    layouts = _payload_layouts(config.cisn_bits)
+    # A zero byte past the end keeps the last byte's two-byte tag window
+    # in range; no field reaches past ``bit_length``, so none reads it.
+    padded = bytes(data) + b"\0"
+    from_bytes = int.from_bytes
     entries: list[LogEntry] = []
-    while not reader.exhausted:
-        try:
-            kind = EntryType(reader.read(_TYPE_BITS))
-        except ValueError as exc:
-            raise LogFormatError(f"bad entry type near bit "
-                                 f"{bit_length - reader.bits_remaining}") from exc
-        if kind is EntryType.INORDER_BLOCK:
-            entries.append(InorderBlock(reader.read(_BLOCK_BITS)))
-        elif kind is EntryType.REORDERED_LOAD:
-            entries.append(ReorderedLoad(reader.read(_VALUE_BITS)))
-        elif kind is EntryType.REORDERED_STORE:
-            addr = reader.read(_ADDR_BITS)
-            value = reader.read(_VALUE_BITS)
-            offset = reader.read(_OFFSET_BITS)
-            entries.append(ReorderedStore(addr, value, offset))
-        elif kind is EntryType.REORDERED_RMW:
-            old = reader.read(_VALUE_BITS)
-            new = reader.read(_VALUE_BITS)
-            addr = reader.read(_ADDR_BITS)
-            offset = reader.read(_OFFSET_BITS)
-            entries.append(ReorderedRmw(old, new, addr, offset))
-        elif kind is EntryType.DUMMY:
-            entries.append(Dummy())
-        else:
-            cisn = reader.read(config.cisn_bits)
-            timestamp = reader.read(_TIMESTAMP_BITS)
-            entries.append(IntervalFrame(cisn, timestamp))
+    append = entries.append
+    pos = 0
+    while pos < bit_length:
+        start = pos + _TYPE_BITS
+        if start > bit_length:
+            raise LogFormatError(
+                f"log truncated at bit {pos}: a {_TYPE_BITS}-bit entry type "
+                f"does not fit in the stream's {bit_length} bits")
+        byte = pos >> 3     # the 3-bit tag lies in this byte and the next
+        tag = (((padded[byte] << 8) | padded[byte + 1])
+               >> (13 - (pos & 7))) & 7
+        layout = layouts[tag]
+        if layout is None:
+            raise LogFormatError(f"bad entry type {tag} at bit {pos}")
+        kind, width, mask, build = layout
+        pos = start + width
+        if pos > bit_length:
+            raise LogFormatError(
+                f"log truncated at bit {start}: a {kind.__name__} entry needs "
+                f"{width} payload bits, the stream has {bit_length - start}")
+        end_byte = (pos + 7) >> 3
+        append(build((from_bytes(padded[start >> 3:end_byte], "big")
+                      >> ((end_byte << 3) - pos)) & mask))
     return entries

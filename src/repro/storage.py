@@ -54,7 +54,11 @@ __all__ = ["save_program", "load_program", "save_recording",
 
 FORMAT_VERSION = 1
 
-_ENUMS = {"opcode": Opcode, "alu_op": AluOp, "rmw_op": RmwOp}
+#: Value -> member for the enum fields of an instruction dict; a member
+#: maps to itself, as ``Enum(member)`` does.
+_OPCODES = {key: op for op in Opcode for key in (op.value, op)}
+_ALU_OPS = {key: op for op in AluOp for key in (op.value, op)}
+_RMW_OPS = {key: op for op in RmwOp for key in (op.value, op)}
 
 
 # ------------------------------------------------------------- programs
@@ -80,9 +84,25 @@ def _instruction_to_dict(instr: Instruction) -> dict:
     return out
 
 
-def _instruction_from_dict(data: dict) -> Instruction:
-    return Instruction(
-        opcode=Opcode(data["op"]),
+def _member(members: dict, data: dict, key: str, thread: int, index: int):
+    value = data[key]
+    try:
+        return members[value]
+    except (KeyError, TypeError):
+        raise LogFormatError(f"thread {thread} instruction {index}: unknown "
+                             f"{key!r} value {value!r}") from None
+
+
+def _instruction_from_dict(data: dict, thread: int, index: int) -> Instruction:
+    if "op" not in data:
+        raise LogFormatError(f"thread {thread} instruction {index} has no 'op'")
+    # Filled in the way pickle restores a frozen dataclass: the generated
+    # __init__ makes one object.__setattr__ call per field, which was the
+    # largest cost of loading a program.  tests/sim/test_storage.py pins
+    # that the result has exactly the fields Instruction(...) sets.
+    instruction = object.__new__(Instruction)
+    instruction.__dict__.update(
+        opcode=_member(_OPCODES, data, "op", thread, index),
         dst=data.get("dst"),
         src1=data.get("src1"),
         src2=data.get("src2"),
@@ -90,12 +110,15 @@ def _instruction_from_dict(data: dict) -> Instruction:
         addr_base=data.get("addr_base"),
         addr_offset=data.get("off", 0),
         target=data.get("target"),
-        alu_op=AluOp(data["alu"]) if "alu" in data else None,
-        rmw_op=RmwOp(data["rmw"]) if "rmw" in data else None,
+        alu_op=(_member(_ALU_OPS, data, "alu", thread, index)
+                if "alu" in data else None),
+        rmw_op=(_member(_RMW_OPS, data, "rmw", thread, index)
+                if "rmw" in data else None),
         acquire=data.get("acq", False),
         release=data.get("rel", False),
         note=data.get("note", ""),
     )
+    return instruction
 
 
 def program_to_dict(program: Program) -> dict:
@@ -115,13 +138,30 @@ def program_to_dict(program: Program) -> dict:
 
 
 def program_from_dict(data: dict) -> Program:
-    """Rebuild (and validate) a program written by :func:`program_to_dict`."""
-    threads = [
-        ThreadProgram([_instruction_from_dict(entry)
-                       for entry in thread["instructions"]],
-                      name=thread.get("name", ""))
-        for thread in data["threads"]
-    ]
+    """Rebuild (and validate) a program written by :func:`program_to_dict`.
+
+    Entries with equal items share one frozen :class:`Instruction`, so the
+    loaded program must not be keyed on instruction identity.  A missing
+    ``op`` or an unknown ``op``/``alu``/``rmw`` value raises
+    :class:`LogFormatError` naming the thread and instruction index.
+    """
+    shared: dict[tuple, Instruction] = {}
+    threads = []
+    for thread_index, thread in enumerate(data["threads"]):
+        instructions = []
+        for index, entry in enumerate(thread["instructions"]):
+            key = tuple(entry.items())
+            try:
+                instruction = shared[key]
+            except KeyError:
+                instruction = shared[key] = _instruction_from_dict(
+                    entry, thread_index, index)
+            except TypeError:  # an unhashable field value: not shared
+                instruction = _instruction_from_dict(entry, thread_index,
+                                                     index)
+            instructions.append(instruction)
+        threads.append(ThreadProgram(instructions,
+                                     name=thread.get("name", "")))
     return Program(
         threads,
         initial_memory={int(addr): value for addr, value

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.bits import BitReader, BitWriter
+from repro.common.bits import BitWriter
 
 
 class TestBitWriter:
@@ -40,55 +40,37 @@ class TestBitWriter:
         writer.write(1, 1)
         assert writer.getvalue() == writer.getvalue()
 
-
-class TestBitReader:
-    def test_sequential_reads(self):
+    def test_sequential_fields(self):
         writer = BitWriter()
         writer.write(5, 3)
         writer.write(1000, 16)
         writer.write(1, 1)
-        reader = BitReader(writer.getvalue(), writer.bit_length)
-        assert reader.read(3) == 5
-        assert reader.read(16) == 1000
-        assert reader.read(1) == 1
-        assert reader.exhausted
-
-    def test_eof(self):
-        reader = BitReader(b"\xff", 4)
-        reader.read(4)
-        with pytest.raises(EOFError):
-            reader.read(1)
-
-    def test_bit_len_exceeding_data(self):
-        with pytest.raises(ValueError):
-            BitReader(b"\x00", 9)
-
-    def test_bits_remaining(self):
-        reader = BitReader(b"\x00\x00", 12)
-        reader.read(5)
-        assert reader.bits_remaining == 7
+        assert writer.bit_length == 20
+        assert writer.getvalue() == (
+            (((5 << 16 | 1000) << 1 | 1) << 4).to_bytes(3, "big"))
 
     def test_cross_byte_field(self):
         writer = BitWriter()
         writer.write(0b1, 1)
         writer.write(0x7FFF, 15)
-        reader = BitReader(writer.getvalue(), 16)
-        assert reader.read(1) == 1
-        assert reader.read(15) == 0x7FFF
+        assert writer.getvalue() == b"\xff\xff"
 
 
 @given(st.lists(st.tuples(st.integers(min_value=1, max_value=64),
                           st.integers(min_value=0)),
                 min_size=1, max_size=60))
 def test_roundtrip_property(fields):
-    """Any sequence of (width, value % 2^width) fields round-trips."""
+    """Any sequence of (width, value % 2^width) fields is laid out
+    MSB-first: the bytes read as one integer are the fields concatenated,
+    zero-padded to a whole byte."""
     writer = BitWriter()
-    expected = []
+    expected = 0
     for width, raw in fields:
         value = raw % (1 << width)
         writer.write(value, width)
-        expected.append((width, value))
-    reader = BitReader(writer.getvalue(), writer.bit_length)
-    for width, value in expected:
-        assert reader.read(width) == value
-    assert reader.exhausted
+        expected = (expected << width) | value
+    data = writer.getvalue()
+    bits = writer.bit_length
+    assert bits == sum(width for width, _ in fields)
+    assert len(data) == (bits + 7) // 8
+    assert int.from_bytes(data, "big") == expected << (len(data) * 8 - bits)

@@ -3,10 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.common.bits import BitWriter
 from repro.common.config import RecorderConfig
 from repro.common.errors import LogFormatError
 from repro.recorder.logfmt import (
     Dummy,
+    EntryType,
     InorderBlock,
     IntervalFrame,
     ReorderedLoad,
@@ -70,7 +72,7 @@ class TestEncodeDecode:
     def test_garbage_type_rejected(self):
         # Type tag 6/7 are unassigned.
         data = bytes([0b110_00000])
-        with pytest.raises(LogFormatError):
+        with pytest.raises(LogFormatError, match="type 6 at bit 0"):
             decode_log(data, 3, CONFIG)
 
     @given(st.lists(entry_strategy, max_size=80))
@@ -83,3 +85,44 @@ class TestEncodeDecode:
             for entry in entries
         ]
         assert decoded == expected
+
+
+class TestMalformedLogs:
+    """A bad stream fails with a LogFormatError naming the bit offset."""
+
+    def test_truncated_stream(self):
+        data, bits = encode_log([InorderBlock(9), ReorderedLoad(7)], CONFIG)
+        # Cut inside the ReorderedLoad's 64-bit payload, which starts at
+        # bit 35 + 3.
+        with pytest.raises(LogFormatError, match="truncated at bit 38"):
+            decode_log(data, bits - 1, CONFIG)
+
+    def test_truncated_entry_type(self):
+        data, bits = encode_log([InorderBlock(9), Dummy()], CONFIG)
+        with pytest.raises(LogFormatError, match="truncated at bit 35"):
+            decode_log(data, bits - 1, CONFIG)
+
+    def test_bit_length_beyond_data(self):
+        with pytest.raises(LogFormatError, match="bit_length 9"):
+            decode_log(b"\x00", 9, CONFIG)
+
+    def test_negative_bit_length(self):
+        with pytest.raises(LogFormatError, match="bit_length -1"):
+            decode_log(b"\x00", -1, CONFIG)
+
+    def test_bad_type_names_its_offset(self):
+        writer = BitWriter()
+        writer.write(EntryType.INORDER_BLOCK, 3)
+        writer.write(1, 32)
+        writer.write(7, 3)
+        with pytest.raises(LogFormatError, match="type 7 at bit 35"):
+            decode_log(writer.getvalue(), writer.bit_length, CONFIG)
+
+    @given(st.binary(max_size=48), st.integers(-64, 48 * 8 + 64))
+    def test_arbitrary_bytes_decode_or_raise_log_format_error(self, data,
+                                                              bit_length):
+        try:
+            entries = decode_log(data, bit_length, CONFIG)
+        except LogFormatError:
+            return
+        assert isinstance(entries, list)
