@@ -26,8 +26,7 @@ import hashlib
 import json
 import math
 
-__all__ = ["canonicalize", "canonical_json", "stable_digest",
-           "generation_tag"]
+__all__ = ["canonicalize", "canonical_json", "stable_digest"]
 
 
 def canonicalize(obj):
@@ -74,15 +73,3 @@ def stable_digest(obj, *, length: int = 32) -> str:
     digest = hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
     return digest[:length]
 
-
-def generation_tag(salt: str) -> str:
-    """Short digest naming a cache *generation* (a code-version salt).
-
-    Cache stores record this tag next to every entry so eviction can drop
-    whole stale generations (``CacheStore.gc(keep=...)``) without parsing
-    entry bodies.  The tag is derived from the same salt that is folded
-    into every content address, so "different generation" always implies
-    "different keys" as well — GC is an optimization, never a correctness
-    requirement.
-    """
-    return stable_digest({"generation": salt}, length=12)

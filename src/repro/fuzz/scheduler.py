@@ -6,9 +6,8 @@ picked more), mutates it (:mod:`.mutate`), evaluates the candidates
 through the differential oracle stack (:mod:`.oracles`) — sharded across
 worker processes via the harness's
 :class:`~repro.harness.parallel_runner.ShardPool` when ``jobs > 1``
-(whose multi-process path is the work-stealing engine of
-:mod:`repro.harness.stealing`: candidates dispatch greedily from a
-shared deque, so one slow genome never strands a batch) — and folds the
+(each free worker takes the next candidate from the head of one queue,
+so one slow genome never strands a batch) — and folds the
 results back **in submission order**, so a session with a fixed seed and
 a count budget is fully deterministic: same corpus, same coverage
 counts, same verdicts, run after run, at any job width or dispatch

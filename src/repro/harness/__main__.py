@@ -4,9 +4,8 @@ Usage::
 
     python -m repro.harness [--scale S] [--seed N] [--cores N]
                             [--experiments fig1,fig9,...] [--out FILE]
-                            [--jobs N] [--cache-dir DIR] [--no-cache]
-                            [--cache-backend SPEC | --cache-url URL]
-                            [--scheduler static|stealing] [--resume]
+                            [--jobs N] [--cache-dir DIR]
+                            [--no-cache | --resume]
     python -m repro.harness run --workload fft --cores 4 \\
         --trace --trace-out trace.json --metrics-out metrics.json
     python -m repro.harness run --workload fft,radix,lu --jobs 4 \\
@@ -16,21 +15,17 @@ The first form runs the selected experiments (default: all) and prints the
 paper-style tables; ``--out`` additionally writes them to a file.  The
 recordings the experiments need are prefetched as a sharded sweep:
 ``--jobs N`` spreads the shards over N worker processes, and every shard
-lands in a persistent result cache (``--cache-dir``, default
-``.repro_cache/``) as it completes, so a warm rerun — or a rerun after an
+lands in a persistent result cache (the SQLite file
+``DIR/results.sqlite`` for ``--cache-dir DIR``, default
+``.repro_cache``) as it completes, so a warm rerun — or a rerun after an
 interruption (``--resume``) — skips everything already recorded.
-``--cache-backend`` swaps the cache storage (``dir:PATH``,
-``sqlite:PATH``, or ``http://HOST:PORT`` for a shared cache daemon;
-``--cache-url`` is shorthand for the latter), and ``--scheduler
-stealing`` replaces the static shard split with the work-stealing
-engine whose in-flight leases dedupe cells across cooperating sweep
-processes.  ``--no-cache`` disables the cache entirely.  Operational
-output (sweep
+``--no-cache`` disables the cache entirely.  Operational output (sweep
 progress, shard completions, experiment timings) goes through the
 structured ``repro`` logger — tune it with ``--log-level``.
 
 The ``run`` subcommand records one workload (or a comma-separated list,
-sharded over ``--jobs`` workers) with the observability layer attached:
+sharded over ``--jobs`` workers through the same cache) with the
+observability layer attached:
 ``--trace-out`` writes a Chrome trace-event JSON (open it in Perfetto /
 chrome://tracing, one track per core plus bus and TRAQ tracks) and
 ``--metrics-out`` a flat ``{name: value}`` metrics snapshot (single
@@ -45,10 +40,12 @@ import logging
 import sys
 import time
 
+from repro.common.errors import ConfigError
 from repro.obs.logging import (add_log_level_argument, get_logger, log_kv,
                                setup_logging)
 
 from . import figures
+from .parallel_runner import add_sweep_flags, open_cache
 from .report import render_all, render_sweep_summary
 from .runner import ExperimentRunner
 
@@ -93,53 +90,6 @@ def _litmus_matrix() -> dict:
                 "violations": sorted(result.violations),
             }
     return out
-
-
-def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
-    """The parallel-runner / result-cache flags shared by both CLI forms."""
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the recording sweep "
-                             "(default 1: serial)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="persistent result cache directory "
-                             "(default .repro_cache)")
-    parser.add_argument("--cache-backend", default=None, metavar="SPEC",
-                        help="pluggable cache backend: dir:PATH, "
-                             "sqlite:PATH, or http://HOST:PORT (a running "
-                             "'repro.tools cache-serve' daemon); overrides "
-                             "--cache-dir")
-    parser.add_argument("--cache-url", default=None, metavar="URL",
-                        help="shorthand for --cache-backend http://... "
-                             "(remote cache daemon URL)")
-    parser.add_argument("--scheduler", default="static",
-                        choices=("static", "stealing"),
-                        help="shard scheduler: 'static' (classic pool) or "
-                             "'stealing' (work-stealing deque + in-flight "
-                             "leases deduping cells across cooperating "
-                             "sweep processes)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="do not read or write the result cache")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume an interrupted sweep from the cached "
-                             "shards (cache reads are on by default; this "
-                             "makes the intent explicit and rejects "
-                             "--no-cache)")
-
-
-def _check_sweep_flags(parser: argparse.ArgumentParser, args) -> None:
-    if args.resume and args.no_cache:
-        parser.error("--resume needs the result cache; "
-                     "drop --no-cache")
-    if args.cache_backend and args.cache_url:
-        parser.error("--cache-backend and --cache-url are two spellings of "
-                     "the same thing; give one")
-    if args.no_cache and (args.cache_backend or args.cache_url):
-        parser.error("--no-cache contradicts --cache-backend/--cache-url")
-
-
-def _sweep_cache_spec(args) -> str | None:
-    """The effective backend spec from --cache-backend/--cache-url."""
-    return args.cache_backend or args.cache_url
 
 
 def _run_command(argv: list[str]) -> int:
@@ -188,10 +138,9 @@ def _run_command(argv: list[str]) -> int:
                         help="write the full serialized RunResult as JSON "
                              "(the repro.tools inspect input; single "
                              "workload)")
-    _add_sweep_flags(parser)
+    add_sweep_flags(parser, jobs=1)
     add_log_level_argument(parser)
     args = parser.parse_args(argv)
-    _check_sweep_flags(parser, args)
     setup_logging(args.log_level)
     if args.forensics_out or args.inject_fault:
         args.verify_replay = True
@@ -212,23 +161,14 @@ def _run_command(argv: list[str]) -> int:
             parser.error("--trace/--trace-out/--metrics-out/--verify-replay/"
                          "--forensics-out/--result-out need a single "
                          "--workload")
-        from .cachestore import CacheBackendError
-        from .parallel_runner import DEFAULT_CACHE_DIR, ParallelRunner, \
-            ResultCache
+        from .parallel_runner import ParallelRunner
         from .runner import RunKey
-        cache = None
-        spec = _sweep_cache_spec(args)
-        if not args.no_cache and (spec or args.cache_dir or args.resume):
-            try:
-                cache = (ResultCache.from_spec(spec) if spec
-                         else ResultCache(args.cache_dir
-                                          or DEFAULT_CACHE_DIR))
-            except CacheBackendError as exc:
-                parser.error(str(exc))    # usage error: exit code 2
-        runner = ParallelRunner(
-            jobs=args.jobs, cache=cache,
-            variants={"default": config.recorder},
-            scheduler=args.scheduler)
+        try:
+            cache = open_cache(args)
+        except ConfigError as exc:
+            parser.error(str(exc))    # usage error: exit code 2
+        runner = ParallelRunner(jobs=args.jobs, cache=cache,
+                                variants={"default": config.recorder})
         keys = [RunKey(name, args.cores, args.scale, args.seed, consistency,
                        False) for name in workloads]
         results = runner.run(keys)
@@ -335,10 +275,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated subset of: "
                              + ",".join(_EXPERIMENTS))
     parser.add_argument("--out", default=None, help="also write to this file")
-    _add_sweep_flags(parser)
+    add_sweep_flags(parser, jobs=1)
     add_log_level_argument(parser)
     args = parser.parse_args(argv)
-    _check_sweep_flags(parser, args)
     setup_logging(args.log_level)
 
     names = (list(_EXPERIMENTS) if args.experiments == "all"
@@ -347,14 +286,11 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown experiments: {', '.join(unknown)}")
 
-    from .cachestore import CacheBackendError
     try:
         runner = ExperimentRunner(
             seed=args.seed, scale=args.scale, jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            cache_backend=_sweep_cache_spec(args),
-            use_cache=not args.no_cache, scheduler=args.scheduler)
-    except CacheBackendError as exc:
+            cache_dir=None if args.no_cache else args.cache_dir)
+    except ConfigError as exc:
         parser.error(str(exc))    # usage error: exit code 2
     keys = figures.required_runs(names, runner, cores=args.cores)
     if keys:

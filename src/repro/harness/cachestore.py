@@ -1,643 +1,127 @@
-"""Pluggable blob stores behind the sweep result cache.
+"""The SQLite file behind the sweep result cache.
 
-The PR 2 result cache was a process-local directory of JSON files.  This
-module generalizes its storage into a small :class:`CacheStore` protocol
-so many worker machines can cooperatively fill *one* cache:
+:class:`SQLiteStore` keeps every cached shard result as one row of a
+single SQLite database in WAL mode, so a reader never blocks behind a
+writer and several sweep processes on one host can share one cache file.
+Keys are the SHA-256 content addresses of
+:func:`repro.harness.parallel_runner.cache_key`; values are opaque
+bytes.  A publish is ``INSERT OR IGNORE``: the first writer of a key
+wins and later writers get ``False`` back, so two sweeps racing on one
+cell stay correct (both may compute it, one copy is kept).
 
-* :class:`DirStore` — the original content-addressed directory layout
-  (``<digest>.json`` files, atomic ``os.replace`` writes).  Fully
-  backward compatible: a pre-existing ``.repro_cache/`` keeps working.
-* :class:`SQLiteStore` — one SQLite database in WAL mode, so concurrent
-  readers (other sweep processes on the same machine) never block behind
-  a writer.
-* :class:`MemoryStore` — in-process dict store (tests, and the default
-  backing of a throwaway cache daemon).
-* :class:`RemoteStore` — HTTP client for the cache daemon in
-  :mod:`repro.harness.cached`: persistent connections, gzip bodies and a
-  batched multi-key lookup endpoint.
-
-Every store keys blobs by the SHA-256 content addresses of
-:func:`repro.harness.parallel_runner.cache_key` and records a
-*generation* tag (:func:`repro.common.hashing.generation_tag` of the
-code-version salt) next to each entry, so :meth:`CacheStore.gc` can drop
-whole stale generations.
-
-Stores also implement time-limited **in-flight leases** — the dedupe
-primitive of the work-stealing sweep fabric (:mod:`.stealing`).  A lease
-says "some worker is currently computing this key": cooperating
-processes defer leased cells instead of re-running them, steal the lease
-when it expires, and publish results with first-writer-wins semantics
-(:meth:`CacheStore.put` returns ``False`` to the loser).  Leases are
-purely an optimization; correctness never depends on them.
+:func:`parse_backend` builds a store from a spec string (see
+:data:`BACKEND_SPECS`); ``memory`` is an in-memory database for tests.
+A spec of any other shape, a file that is not a database, or a cache
+directory that cannot be created raises :class:`CacheBackendError`.
 """
 
 from __future__ import annotations
 
-import base64
-import gzip
-import json
-import os
+import re
 import sqlite3
-import threading
-import time
-from dataclasses import dataclass
 from pathlib import Path
-from urllib.parse import urlsplit
 
 from ..common.errors import ConfigError
 
-__all__ = ["CacheBackendError", "LeaseInfo", "CacheStore", "DirStore",
-           "SQLiteStore", "MemoryStore", "RemoteStore", "parse_backend",
-           "BACKEND_SCHEMES"]
+__all__ = ["CacheBackendError", "SQLiteStore", "parse_backend",
+           "BACKEND_SPECS"]
 
-#: Spec shapes ``parse_backend`` understands (documented in --help texts).
-BACKEND_SCHEMES = ("dir:PATH (or a bare path)", "sqlite:PATH (or *.sqlite)",
-                   "http://HOST:PORT (cache daemon)")
+#: Spec shapes :func:`parse_backend` accepts (quoted in its errors).
+BACKEND_SPECS = ("sqlite:PATH", "a PATH ending in .sqlite, .sqlite3 or .db",
+                 "memory")
+
+_SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
+
+#: A URL-style scheme prefix; two letters at least, so a Windows drive
+#: (``C:``) still reads as a path.
+_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]+:")
+
+#: How long a writer waits on another process's write lock.
+_BUSY_TIMEOUT_S = 30.0
 
 
 class CacheBackendError(ConfigError):
-    """A cache backend spec is malformed or the backend cannot start.
+    """A cache backend spec is malformed or the cache file cannot be used.
 
     Subclasses :class:`~repro.common.errors.ConfigError` so the CLIs map
-    it to the usage exit code (2), matching the PR 5 exit-code audit.
+    it to the usage exit code (2).
     """
 
 
-@dataclass(frozen=True)
-class LeaseInfo:
-    """Outcome of one lease acquisition attempt.
+class SQLiteStore:
+    """Keyed blob store in one SQLite file (or ``":memory:"``).
 
-    ``acquired`` — this caller now holds the lease (possibly by stealing
-    an expired one, flagged by ``stolen``).  When not acquired, ``owner``
-    and ``deadline`` describe the live holder so the scheduler knows when
-    stealing becomes legal.
+    Rows live in the table ``entries (key, data)``; :meth:`put` is first
+    writer wins.  Opening a file that is not a database, or a path whose
+    directory cannot be created, raises :class:`CacheBackendError`
+    naming the path.
     """
 
-    acquired: bool
-    owner: str
-    deadline: float
-    stolen: bool = False
-
-    def to_dict(self) -> dict:
-        return {"acquired": self.acquired, "owner": self.owner,
-                "deadline": self.deadline, "stolen": self.stolen}
-
-    @staticmethod
-    def from_dict(data: dict) -> "LeaseInfo":
-        return LeaseInfo(acquired=bool(data["acquired"]),
-                         owner=str(data["owner"]),
-                         deadline=float(data["deadline"]),
-                         stolen=bool(data.get("stolen", False)))
-
-
-class CacheStore:
-    """Abstract keyed blob store with leases and generation GC.
-
-    Keys are content-address strings (hex digests); values are opaque
-    ``bytes``.  Implementations must make :meth:`put` atomic and
-    first-writer-wins: concurrent publishers of the same key never
-    interleave bytes, and exactly one of them gets ``True`` back.
-    """
-
-    #: Short scheme name ("dir" | "sqlite" | "memory" | "http").
-    name = "abstract"
-
-    # ------------------------------------------------------------- blobs
-
-    def get(self, key: str) -> bytes | None:
-        raise NotImplementedError
-
-    def get_many(self, keys: list[str]) -> dict[str, bytes]:
-        """Batched lookup; default is a get() loop (remote stores do
-        better with one round trip)."""
-        out = {}
-        for key in keys:
-            data = self.get(key)
-            if data is not None:
-                out[key] = data
-        return out
-
-    def put(self, key: str, data: bytes, *, generation: str = "") -> bool:
-        """Store ``data`` unless ``key`` already exists (first writer
-        wins); returns True iff this call created the entry."""
-        raise NotImplementedError
-
-    def delete(self, key: str) -> bool:
-        raise NotImplementedError
-
-    def quarantine(self, key: str, reason: str = "") -> None:
-        """Put a corrupt entry aside so it is never served again; the
-        default just deletes it."""
-        self.delete(key)
-
-    def keys(self) -> list[str]:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        return len(self.keys())
-
-    def gc(self, keep_generation: str) -> int:
-        """Drop every entry recorded under a different generation tag;
-        returns how many were removed."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------- leases
-
-    def acquire_lease(self, key: str, owner: str,
-                      ttl_s: float) -> LeaseInfo:
-        raise NotImplementedError
-
-    def release_lease(self, key: str, owner: str) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release connections/handles (optional)."""
-
-
-# ---------------------------------------------------------------- directory
-
-class DirStore(CacheStore):
-    """The original content-addressed directory layout.
-
-    Blobs live at ``<root>/<key>.json`` (the suffix is historical — the
-    sweep cache always stored JSON envelopes and existing caches must
-    remain readable).  Generation tags live in a ``<key>.gen`` sidecar;
-    entries written by older code have no sidecar and are treated as a
-    foreign generation by :meth:`gc`.  Leases are ``<key>.lease`` files
-    created with ``O_CREAT | O_EXCL`` so acquisition is atomic even
-    across machines sharing a network filesystem.
-    """
-
-    name = "dir"
-    _SUFFIX = ".json"
-
-    def __init__(self, root: str | Path, *, clock=time.time):
-        self.root = Path(root)
-        self._clock = clock
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}{self._SUFFIX}"
-
-    def get(self, key: str) -> bytes | None:
+    def __init__(self, path: str | Path):
+        self.path = str(path)
         try:
-            return self._path(key).read_bytes()
-        except OSError:
-            return None
-
-    def put(self, key: str, data: bytes, *, generation: str = "") -> bool:
-        path = self._path(key)
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_bytes(data)
-        if generation:
-            path.with_suffix(".gen").write_text(generation)
+            if self.path != ":memory:":
+                Path(self.path).parent.mkdir(parents=True, exist_ok=True)
+            self._db = sqlite3.connect(self.path, timeout=_BUSY_TIMEOUT_S)
+        except (OSError, sqlite3.DatabaseError) as exc:
+            raise CacheBackendError(
+                f"cannot open result cache {self.path}: {exc}") from exc
         try:
-            # Hard-link publish: succeeds for exactly one of any set of
-            # concurrent writers (atomic first-writer-wins), unlike an
-            # exists() pre-check which both racers could pass.
-            os.link(tmp, path)
-            created = True
-        except FileExistsError:
-            created = False
-        except OSError:
-            # Filesystem without hard links: degrade to replace (still
-            # atomic content-wise; the race report is best-effort).
-            created = not path.exists()
-            os.replace(tmp, path)
-            return created
-        tmp.unlink(missing_ok=True)
-        return created
-
-    def delete(self, key: str) -> bool:
-        try:
-            self._path(key).unlink()
-            return True
-        except OSError:
-            return False
-
-    def quarantine(self, key: str, reason: str = "") -> None:
-        path = self._path(key)
-        try:
-            path.replace(path.with_suffix(".corrupt"))
-        except OSError:
-            pass
-
-    def keys(self) -> list[str]:
-        if not self.root.exists():
-            return []
-        return sorted(path.stem for path in self.root.glob(f"*{self._SUFFIX}"))
-
-    def gc(self, keep_generation: str) -> int:
-        removed = 0
-        for key in self.keys():
-            sidecar = self._path(key).with_suffix(".gen")
-            try:
-                generation = sidecar.read_text().strip()
-            except OSError:
-                generation = ""
-            if generation != keep_generation:
-                if self.delete(key):
-                    removed += 1
-                try:
-                    sidecar.unlink()
-                except OSError:
-                    pass
-        return removed
-
-    # ------------------------------------------------------------- leases
-
-    def _lease_path(self, key: str) -> Path:
-        return self.root / f"{key}.lease"
-
-    def acquire_lease(self, key: str, owner: str,
-                      ttl_s: float) -> LeaseInfo:
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self._lease_path(key)
-        now = self._clock()
-        body = json.dumps({"owner": owner, "deadline": now + ttl_s})
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            pass
-        else:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(body)
-            return LeaseInfo(True, owner, now + ttl_s)
-        try:
-            held = json.loads(path.read_text())
-            holder, deadline = str(held["owner"]), float(held["deadline"])
-        except (OSError, ValueError, KeyError):
-            holder, deadline = "", 0.0      # torn lease file: steal it
-        if deadline > now and holder != owner:
-            return LeaseInfo(False, holder, deadline)
-        # Expired (or our own): steal/refresh via atomic replace.
-        tmp = path.with_suffix(f".lease.tmp.{os.getpid()}")
-        tmp.write_text(body)
-        os.replace(tmp, path)
-        return LeaseInfo(True, owner, now + ttl_s,
-                         stolen=bool(holder) and holder != owner)
-
-    def release_lease(self, key: str, owner: str) -> None:
-        path = self._lease_path(key)
-        try:
-            held = json.loads(path.read_text())
-            if held.get("owner") == owner:
-                path.unlink()
-        except (OSError, ValueError):
-            pass
-
-
-# ------------------------------------------------------------------ sqlite
-
-class SQLiteStore(CacheStore):
-    """One SQLite database in WAL mode (concurrent readers never block).
-
-    Entries and leases are rows; first-writer-wins is ``INSERT OR
-    IGNORE`` and lease acquisition runs inside ``BEGIN IMMEDIATE`` so two
-    processes racing for the same key serialize at the database.
-    """
-
-    name = "sqlite"
-
-    def __init__(self, path: str | Path, *, clock=time.time,
-                 timeout_s: float = 30.0):
-        self.path = Path(path)
-        self._clock = clock
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._db = sqlite3.connect(self.path, timeout=timeout_s,
-                                   check_same_thread=False)
-        with self._lock:
             self._db.execute("PRAGMA journal_mode=WAL")
             self._db.execute("PRAGMA synchronous=NORMAL")
             self._db.execute(
                 "CREATE TABLE IF NOT EXISTS entries ("
                 "  key TEXT PRIMARY KEY,"
-                "  generation TEXT NOT NULL DEFAULT '',"
                 "  data BLOB NOT NULL)")
-            self._db.execute(
-                "CREATE TABLE IF NOT EXISTS leases ("
-                "  key TEXT PRIMARY KEY,"
-                "  owner TEXT NOT NULL,"
-                "  deadline REAL NOT NULL)")
             self._db.commit()
+        except sqlite3.DatabaseError as exc:
+            self._db.close()
+            raise CacheBackendError(
+                f"cannot open result cache {self.path}: {exc}") from exc
 
     def get(self, key: str) -> bytes | None:
-        with self._lock:
-            row = self._db.execute(
-                "SELECT data FROM entries WHERE key = ?", (key,)).fetchone()
+        row = self._db.execute(
+            "SELECT data FROM entries WHERE key = ?", (key,)).fetchone()
         return None if row is None else bytes(row[0])
 
-    def get_many(self, keys: list[str]) -> dict[str, bytes]:
-        if not keys:
-            return {}
-        marks = ",".join("?" * len(keys))
-        with self._lock:
-            rows = self._db.execute(
-                f"SELECT key, data FROM entries WHERE key IN ({marks})",
-                list(keys)).fetchall()
-        return {row[0]: bytes(row[1]) for row in rows}
-
-    def put(self, key: str, data: bytes, *, generation: str = "") -> bool:
-        with self._lock:
-            cursor = self._db.execute(
-                "INSERT OR IGNORE INTO entries (key, generation, data) "
-                "VALUES (?, ?, ?)", (key, generation, data))
-            self._db.commit()
+    def put(self, key: str, data: bytes) -> bool:
+        """Store ``data`` unless ``key`` already exists; returns True iff
+        this call created the entry."""
+        cursor = self._db.execute(
+            "INSERT OR IGNORE INTO entries (key, data) VALUES (?, ?)",
+            (key, data))
+        self._db.commit()
         return cursor.rowcount > 0
 
     def delete(self, key: str) -> bool:
-        with self._lock:
-            cursor = self._db.execute(
-                "DELETE FROM entries WHERE key = ?", (key,))
-            self._db.commit()
+        cursor = self._db.execute("DELETE FROM entries WHERE key = ?", (key,))
+        self._db.commit()
         return cursor.rowcount > 0
 
-    def keys(self) -> list[str]:
-        with self._lock:
-            rows = self._db.execute(
-                "SELECT key FROM entries ORDER BY key").fetchall()
-        return [row[0] for row in rows]
-
-    def gc(self, keep_generation: str) -> int:
-        with self._lock:
-            cursor = self._db.execute(
-                "DELETE FROM entries WHERE generation != ?",
-                (keep_generation,))
-            self._db.execute("DELETE FROM leases WHERE deadline < ?",
-                             (self._clock(),))
-            self._db.commit()
-        return cursor.rowcount
-
-    def acquire_lease(self, key: str, owner: str,
-                      ttl_s: float) -> LeaseInfo:
-        now = self._clock()
-        with self._lock:
-            self._db.execute("BEGIN IMMEDIATE")
-            row = self._db.execute(
-                "SELECT owner, deadline FROM leases WHERE key = ?",
-                (key,)).fetchone()
-            if row is not None and row[1] > now and row[0] != owner:
-                self._db.commit()
-                return LeaseInfo(False, row[0], row[1])
-            self._db.execute(
-                "INSERT INTO leases (key, owner, deadline) VALUES (?, ?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET owner = excluded.owner, "
-                "deadline = excluded.deadline", (key, owner, now + ttl_s))
-            self._db.commit()
-        stolen = row is not None and row[0] != owner
-        return LeaseInfo(True, owner, now + ttl_s, stolen=stolen)
-
-    def release_lease(self, key: str, owner: str) -> None:
-        with self._lock:
-            self._db.execute(
-                "DELETE FROM leases WHERE key = ? AND owner = ?",
-                (key, owner))
-            self._db.commit()
+    def __len__(self) -> int:
+        return self._db.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
 
     def close(self) -> None:
-        with self._lock:
-            self._db.close()
+        self._db.close()
 
 
-# ------------------------------------------------------------------ memory
+def parse_backend(spec: str) -> SQLiteStore:
+    """Build a :class:`SQLiteStore` from a backend spec string::
 
-class MemoryStore(CacheStore):
-    """Thread-safe in-process store (tests; throwaway daemon backing)."""
+        sqlite:results.sqlite    results.sqlite    memory
 
-    name = "memory"
-
-    def __init__(self, *, clock=time.time):
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._entries: dict[str, tuple[str, bytes]] = {}
-        self._leases: dict[str, tuple[str, float]] = {}
-
-    def get(self, key: str) -> bytes | None:
-        with self._lock:
-            entry = self._entries.get(key)
-        return None if entry is None else entry[1]
-
-    def put(self, key: str, data: bytes, *, generation: str = "") -> bool:
-        with self._lock:
-            if key in self._entries:
-                return False
-            self._entries[key] = (generation, data)
-            return True
-
-    def delete(self, key: str) -> bool:
-        with self._lock:
-            return self._entries.pop(key, None) is not None
-
-    def keys(self) -> list[str]:
-        with self._lock:
-            return sorted(self._entries)
-
-    def gc(self, keep_generation: str) -> int:
-        with self._lock:
-            stale = [key for key, (generation, _) in self._entries.items()
-                     if generation != keep_generation]
-            for key in stale:
-                del self._entries[key]
-            return len(stale)
-
-    def acquire_lease(self, key: str, owner: str,
-                      ttl_s: float) -> LeaseInfo:
-        now = self._clock()
-        with self._lock:
-            held = self._leases.get(key)
-            if held is not None and held[1] > now and held[0] != owner:
-                return LeaseInfo(False, held[0], held[1])
-            self._leases[key] = (owner, now + ttl_s)
-        stolen = held is not None and held[0] != owner
-        return LeaseInfo(True, owner, now + ttl_s, stolen=stolen)
-
-    def release_lease(self, key: str, owner: str) -> None:
-        with self._lock:
-            held = self._leases.get(key)
-            if held is not None and held[0] == owner:
-                del self._leases[key]
-
-
-# ------------------------------------------------------------------ remote
-
-#: Compress request/response bodies beyond this size (tiny bodies are
-#: cheaper uncompressed).
-GZIP_THRESHOLD = 512
-
-
-class RemoteStore(CacheStore):
-    """HTTP client for the :mod:`repro.harness.cached` daemon.
-
-    One persistent ``http.client.HTTPConnection`` is reused across
-    requests (re-established once per request on a stale socket), bodies
-    over :data:`GZIP_THRESHOLD` travel gzipped in both directions, and
-    :meth:`get_many` is a single ``POST /v1/batch`` round trip.
+    Anything else — ``dir:`` and ``http://`` specs included — raises
+    :class:`CacheBackendError` listing :data:`BACKEND_SPECS` (the CLIs
+    map it to exit code 2).
     """
-
-    name = "http"
-
-    def __init__(self, url: str, *, timeout_s: float = 30.0):
-        parts = urlsplit(url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise CacheBackendError(
-                f"malformed cache daemon URL {url!r} "
-                f"(expected http://HOST:PORT)")
-        self.url = url
-        self._host = parts.hostname
-        self._port = parts.port or (443 if parts.scheme == "https" else 80)
-        self._scheme = parts.scheme
-        self._timeout_s = timeout_s
-        self._lock = threading.Lock()
-        self._conn = None
-
-    # -------------------------------------------------------------- wire
-
-    def _connect(self):
-        import http.client
-        import socket
-        if self._scheme == "https":
-            conn = http.client.HTTPSConnection(self._host, self._port,
-                                               timeout=self._timeout_s)
-        else:
-            conn = http.client.HTTPConnection(self._host, self._port,
-                                              timeout=self._timeout_s)
-        conn.connect()
-        # Warm lookups are small request/reply pairs; Nagle + delayed
-        # ACK would add ~40ms per hit on loopback.
-        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return conn
-
-    def _request(self, method: str, path: str, body: bytes | None = None,
-                 headers: dict | None = None) -> tuple[int, bytes]:
-        import http.client
-        headers = dict(headers or {})
-        headers.setdefault("Accept-Encoding", "gzip")
-        if body is not None and len(body) >= GZIP_THRESHOLD:
-            body = gzip.compress(body)
-            headers["Content-Encoding"] = "gzip"
-        with self._lock:
-            for attempt in (0, 1):
-                if self._conn is None:
-                    self._conn = self._connect()
-                try:
-                    self._conn.request(method, path, body=body,
-                                       headers=headers)
-                    response = self._conn.getresponse()
-                    payload = response.read()
-                    break
-                except (OSError, http.client.HTTPException):
-                    self._conn.close()
-                    self._conn = None
-                    if attempt:
-                        raise
-            if response.getheader("Content-Encoding") == "gzip":
-                payload = gzip.decompress(payload)
-            return response.status, payload
-
-    # -------------------------------------------------------------- blobs
-
-    def get(self, key: str) -> bytes | None:
-        status, payload = self._request("GET", f"/v1/blob/{key}")
-        return payload if status == 200 else None
-
-    def get_many(self, keys: list[str]) -> dict[str, bytes]:
-        if not keys:
-            return {}
-        body = json.dumps({"keys": list(keys)}).encode()
-        status, payload = self._request("POST", "/v1/batch", body)
-        if status != 200:
-            return {}
-        entries = json.loads(payload).get("entries", {})
-        return {key: base64.b64decode(data)
-                for key, data in entries.items()}
-
-    def put(self, key: str, data: bytes, *, generation: str = "") -> bool:
-        status, payload = self._request(
-            "PUT", f"/v1/blob/{key}", data,
-            headers={"X-Generation": generation})
-        return status == 201
-
-    def delete(self, key: str) -> bool:
-        status, _ = self._request("DELETE", f"/v1/blob/{key}")
-        return status == 200
-
-    def keys(self) -> list[str]:
-        status, payload = self._request("GET", "/v1/keys")
-        return json.loads(payload).get("keys", []) if status == 200 else []
-
-    def gc(self, keep_generation: str) -> int:
-        body = json.dumps({"keep": keep_generation}).encode()
-        status, payload = self._request("POST", "/v1/gc", body)
-        return json.loads(payload).get("removed", 0) if status == 200 else 0
-
-    def stats(self) -> dict:
-        """The daemon's live counter export (monitoring endpoint)."""
-        status, payload = self._request("GET", "/v1/stats")
-        return json.loads(payload) if status == 200 else {}
-
-    # -------------------------------------------------------------- leases
-
-    def acquire_lease(self, key: str, owner: str,
-                      ttl_s: float) -> LeaseInfo:
-        body = json.dumps({"key": key, "owner": owner,
-                           "ttl_s": ttl_s}).encode()
-        status, payload = self._request("POST", "/v1/lease", body)
-        if status != 200:
-            # A daemon hiccup must not wedge the sweep: pretend acquired
-            # (worst case the cell is computed twice; first writer wins).
-            return LeaseInfo(True, owner, time.time() + ttl_s)
-        return LeaseInfo.from_dict(json.loads(payload))
-
-    def release_lease(self, key: str, owner: str) -> None:
-        body = json.dumps({"key": key, "owner": owner}).encode()
-        self._request("POST", "/v1/lease/release", body)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._conn is not None:
-                self._conn.close()
-                self._conn = None
-
-
-# ----------------------------------------------------------------- factory
-
-def parse_backend(spec: str, *, clock=time.time) -> CacheStore:
-    """Build a :class:`CacheStore` from a backend spec string.
-
-    Accepted shapes (see :data:`BACKEND_SCHEMES`)::
-
-        dir:.repro_cache      .repro_cache          # directory store
-        sqlite:results.sqlite results.sqlite        # SQLite (WAL) store
-        http://cachehost:8123                       # remote cache daemon
-
-    Anything else — unknown schemes, empty paths, URL typos — raises
-    :class:`CacheBackendError` (the CLIs map it to exit code 2).
-    """
-    if not isinstance(spec, str) or not spec.strip():
-        raise CacheBackendError("empty cache backend spec")
     spec = spec.strip()
-    scheme, sep, rest = spec.partition(":")
-    if scheme in ("http", "https"):
-        return RemoteStore(spec)
-    if scheme == "sqlite" and sep:
-        if not rest:
-            raise CacheBackendError("sqlite backend needs a path: sqlite:PATH")
-        return SQLiteStore(rest, clock=clock)
-    if scheme == "dir" and sep:
-        if not rest:
-            raise CacheBackendError("dir backend needs a path: dir:PATH")
-        return DirStore(rest, clock=clock)
-    if scheme == "memory" and not rest:
-        return MemoryStore(clock=clock)
-    if sep and "/" not in scheme and "\\" not in scheme and scheme not in (
-            "", ".", ".."):
-        # Looks like scheme:..., but not one we know (and not a Windows
-        # drive or relative ./path) — a typo, not a directory name.
-        if len(scheme) > 1:
-            raise CacheBackendError(
-                f"unknown cache backend scheme {scheme!r} in {spec!r}; "
-                "expected one of: " + ", ".join(BACKEND_SCHEMES))
-    if spec.endswith((".sqlite", ".sqlite3", ".db")):
-        return SQLiteStore(spec, clock=clock)
-    return DirStore(spec, clock=clock)
+    scheme = _SCHEME.match(spec)
+    if spec == "memory":
+        return SQLiteStore(":memory:")
+    if scheme and scheme.group() == "sqlite:" and spec[len("sqlite:"):]:
+        return SQLiteStore(spec[len("sqlite:"):])
+    if not scheme and spec.endswith(_SQLITE_SUFFIXES):
+        return SQLiteStore(spec)
+    raise CacheBackendError(
+        f"unsupported cache backend {spec!r}; expected one of: "
+        + ", ".join(BACKEND_SPECS))

@@ -5,30 +5,29 @@ recorder-variant) grids; each cell — a *shard* — is one full recorded
 execution and is by far the expensive step.  This module provides the
 production path for those sweeps:
 
-* :class:`ResultCache` — a content-addressed result cache over a
-  pluggable :class:`~repro.harness.cachestore.CacheStore` (the classic
-  JSON-file directory under ``.repro_cache/`` by default; SQLite and
-  remote-daemon backends via :meth:`ResultCache.from_spec`).  Entries
-  are keyed by a SHA-256 digest of the canonicalized
-  :class:`~repro.harness.runner.RunKey`, the recorder variant configs
-  and a code-version salt, computed with
+* :class:`ResultCache` — a content-addressed result cache in one SQLite
+  file (:class:`~repro.harness.cachestore.SQLiteStore`), by default
+  ``.repro_cache/results.sqlite``.  Entries are keyed by a SHA-256
+  digest of the canonicalized :class:`~repro.harness.runner.RunKey`, the
+  recorder variant configs and a code-version salt, computed with
   :func:`repro.common.hashing.stable_digest` so keys are identical across
   interpreter runs, ``PYTHONHASHSEED`` values and dict orderings.
   Publishes are atomic and first-writer-wins; corrupt entries are
-  quarantined with a warning (and a per-reason counter) and recomputed.
+  deleted with a warning (and a per-reason counter) and recomputed.
 
-* :class:`ParallelRunner` — shards outstanding runs across a
-  ``concurrent.futures.ProcessPoolExecutor``.  Each worker executes
+* :class:`ShardPool` — maps a worker over a list of items, serially at
+  ``jobs=1`` and otherwise over a ``ProcessPoolExecutor`` whose free
+  workers take the next item from the head of one queue, so a straggler
+  never idles the rest of the pool.  Replies come back in submission
+  order; shards get a per-shard timeout and a retry budget, and anything
+  still failing raises :class:`SweepError` naming the shard.
+
+* :class:`ParallelRunner` — satisfies a sweep grid from the cache and
+  runs the rest through a :class:`ShardPool`.  Each worker executes
   :func:`repro.harness.runner.execute_run` (the exact code path the
   serial runner uses) and returns the result in the JSON wire format of
   :mod:`repro.sim.serialize`, plus a small counter export that the parent
-  folds into its :class:`~repro.obs.metrics.MetricsRegistry`.  Shards get
-  a per-shard timeout and are retried once on failure; anything still
-  failing raises :class:`SweepError` naming the shard.  With
-  ``scheduler="stealing"`` the shards flow through the work-stealing
-  engine of :mod:`repro.harness.stealing` instead of the static split,
-  and in-flight leases in the shared cache dedupe cells across
-  cooperating sweep processes.
+  folds into its :class:`~repro.obs.metrics.MetricsRegistry`.
 
 * Cross-process telemetry (:mod:`repro.obs.telemetry`): every shard's
   full metrics snapshot — and, when
@@ -42,7 +41,9 @@ production path for those sweeps:
 
 Because every completed shard lands in the cache immediately, an
 interrupted sweep is resumable: a rerun skips the cached shards and only
-executes what is missing.
+executes what is missing.  :func:`add_sweep_flags` and :func:`open_cache`
+give both CLIs the one set of sweep flags that selects the pool width and
+the cache.
 """
 
 from __future__ import annotations
@@ -51,30 +52,29 @@ import json
 import os
 import sys
 import time
-import uuid
 import warnings
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..common.config import RecorderConfig
-from ..common.errors import ConfigError
-from ..common.hashing import generation_tag, stable_digest
+from ..common.errors import ReproError
+from ..common.hashing import stable_digest
 from ..obs.logging import get_logger
 from ..obs.metrics import MetricsRegistry, MetricsSnapshot
-from ..obs.telemetry import (TELEMETRY_FORMAT, FabricTelemetry,
-                             SweepProgress, TelemetryAggregator,
-                             TelemetryConfig)
+from ..obs.telemetry import (TELEMETRY_FORMAT, SweepProgress,
+                             TelemetryAggregator, TelemetryConfig)
 from ..sim.machine import RunResult
 from ..sim.serialize import SERIALIZATION_VERSION
-from .cachestore import CacheStore, DirStore, LeaseInfo, parse_backend
+from .cachestore import SQLiteStore, parse_backend
 from .runner import VARIANTS, RunKey, execute_run
-from .stealing import FabricHooks, SweepError, WorkStealingPool
 
 _LOG = get_logger("harness.sweep")
 
-__all__ = ["CACHE_FORMAT", "DEFAULT_CACHE_DIR", "GENERATION", "SweepError",
+__all__ = ["CACHE_FORMAT", "DEFAULT_CACHE_DIR", "CACHE_FILE", "SweepError",
            "cache_key", "ResultCache", "ShardOutcome", "ShardPool",
-           "ParallelRunner"]
+           "ParallelRunner", "add_sweep_flags", "open_cache"]
 
 #: Bumped when the cache envelope layout changes.
 CACHE_FORMAT = 1
@@ -82,14 +82,16 @@ CACHE_FORMAT = 1
 #: Where sweep results live unless a cache dir is given explicitly.
 DEFAULT_CACHE_DIR = ".repro_cache"
 
+#: The SQLite file a cache directory holds.
+CACHE_FILE = "results.sqlite"
+
 #: Code-version salt folded into every cache key: results recorded under a
 #: different cache or wire format can never be mistaken for current ones.
 CODE_SALT = f"cache-v{CACHE_FORMAT}:wire-v{SERIALIZATION_VERSION}"
 
-#: Generation tag recorded next to every published entry so
-#: ``CacheStore.gc`` can drop whole stale code generations without
-#: parsing entry bodies.
-GENERATION = generation_tag(CODE_SALT)
+
+class SweepError(ReproError):
+    """A sweep shard failed (after exhausting its retry budget)."""
 
 
 def cache_key(key: RunKey,
@@ -104,36 +106,33 @@ def cache_key(key: RunKey,
 class ResultCache:
     """Content-addressed persistent store of serialized run results.
 
-    Storage is delegated to a pluggable
-    :class:`~repro.harness.cachestore.CacheStore`; the default is the
-    classic :class:`~repro.harness.cachestore.DirStore` directory layout,
-    so ``ResultCache(path)`` keeps reading pre-existing caches unchanged.
-    Use :meth:`from_spec` to attach the SQLite or remote-daemon backends
-    (``sqlite:PATH`` / ``http://HOST:PORT``).  This class owns the
+    ``ResultCache(cache_dir)`` opens the SQLite file
+    ``cache_dir/results.sqlite``; :meth:`from_spec` opens any spec
+    :func:`~repro.harness.cachestore.parse_backend` accepts, and
+    ``store=`` shares one open store between caches.  This class owns the
     envelope format and its validation; the store only sees opaque keyed
-    blobs plus the :data:`GENERATION` tag that lets :meth:`gc` drop stale
-    code generations wholesale.
+    blobs.
     """
 
-    def __init__(self, root: str | Path = DEFAULT_CACHE_DIR, *,
-                 store: CacheStore | None = None):
-        self.store = store if store is not None else DirStore(root)
-        self.root = Path(getattr(self.store, "root", root))
+    def __init__(self, cache_dir: str | Path = DEFAULT_CACHE_DIR, *,
+                 store: SQLiteStore | None = None):
+        self.store = (store if store is not None
+                      else SQLiteStore(Path(cache_dir) / CACHE_FILE))
         self.hits = 0
         self.misses = 0
         self.writes = 0
         self.write_races = 0
-        #: Quarantine counts by reason ("decode" | "format" |
+        #: Corrupt-entry counts by reason ("decode" | "format" |
         #: "key_mismatch" | "schema") — telemetry can tell a truncated
-        #: file from a foreign-version envelope from a digest collision.
+        #: entry from a foreign-version envelope from a digest collision.
         self.corrupt_reasons: dict[str, int] = {}
 
     @classmethod
     def from_spec(cls, spec: str) -> "ResultCache":
-        """Build a cache from a backend spec string (``dir:PATH``,
-        ``sqlite:PATH``, ``http://HOST:PORT``, or a bare path).
+        """Build a cache from a backend spec string (``sqlite:PATH``, a
+        ``*.sqlite``/``*.sqlite3``/``*.db`` path, or ``memory``).
 
-        Malformed specs raise
+        Any other spec raises
         :class:`~repro.harness.cachestore.CacheBackendError`, which the
         CLIs map to the usage exit code (2).
         """
@@ -141,12 +140,8 @@ class ResultCache:
 
     @property
     def corrupt(self) -> int:
-        """Total quarantined entries (sum over :attr:`corrupt_reasons`)."""
+        """Total corrupt entries (sum over :attr:`corrupt_reasons`)."""
         return sum(self.corrupt_reasons.values())
-
-    def path_for(self, key: RunKey,
-                 variants: dict[str, RecorderConfig] | None = None) -> Path:
-        return self.root / f"{cache_key(key, variants)}.json"
 
     # ------------------------------------------------------------- lookups
 
@@ -156,42 +151,15 @@ class ResultCache:
         """The cached result for ``key``, or None on miss / corruption.
 
         An entry that cannot be parsed or fails envelope validation is
-        quarantined in the store (the directory backend renames it to
-        ``*.corrupt``) with a warning and a per-reason counter, and the
-        shard is recomputed — a half-written or damaged cache never
-        poisons a sweep.
+        deleted from the store with a warning and a per-reason counter,
+        and the shard is recomputed — a damaged cache never poisons a
+        sweep.
         """
         address = cache_key(key, variants)
         data = self.store.get(address)
         if data is None:
             self.misses += 1
             return None
-        result = self._decode(address, key, data)
-        if result is not None:
-            self.hits += 1
-        return result
-
-    def get_many(self, keys, variants: dict[str, RecorderConfig] | None = None
-                 ) -> dict[RunKey, RunResult]:
-        """Batched lookup of many keys (one round trip on the remote
-        backend); corrupt entries quarantine exactly as in :meth:`get`."""
-        addressed = {cache_key(key, variants): key for key in keys}
-        found = self.store.get_many(list(addressed))
-        out: dict[RunKey, RunResult] = {}
-        for address, key in addressed.items():
-            data = found.get(address)
-            if data is None:
-                self.misses += 1
-                continue
-            result = self._decode(address, key, data)
-            if result is not None:
-                self.hits += 1
-                out[key] = result
-        return out
-
-    def _decode(self, address: str, key: RunKey,
-                data: bytes) -> RunResult | None:
-        """Validate one envelope; quarantines (and counts why) on failure."""
         reason = "decode"
         try:
             envelope = json.loads(data)
@@ -204,28 +172,30 @@ class ResultCache:
                 reason = "key_mismatch"
                 raise ValueError("cache entry key does not match request")
             reason = "schema"
-            return RunResult.from_dict(envelope["result"])
+            result = RunResult.from_dict(envelope["result"])
         except Exception as exc:
             self.corrupt_reasons[reason] = (
                 self.corrupt_reasons.get(reason, 0) + 1)
             warnings.warn(
-                f"corrupt result-cache entry {address}.json "
+                f"corrupt result-cache entry {address} "
                 f"({reason}; {type(exc).__name__}: {exc}); "
-                f"recomputing the shard", stacklevel=3)
-            self.store.quarantine(address, reason)
+                f"recomputing the shard", stacklevel=2)
+            self.store.delete(address)
             return None
+        self.hits += 1
+        return result
 
     # ------------------------------------------------------------ publishes
 
     def put(self, key: RunKey, result: RunResult,
             variants: dict[str, RecorderConfig] | None = None,
-            *, meta: dict | None = None) -> Path:
+            *, meta: dict | None = None) -> None:
         """Atomically persist ``result`` under ``key``'s content address.
 
-        First writer wins: if a cooperating sweep process published this
-        key concurrently, the loser's bytes are discarded (the entries
-        are content-addressed, so they describe the same run anyway) and
-        the race is counted in ``write_races``.
+        First writer wins: if another sweep process sharing the cache
+        file published this key first, this call's bytes are discarded
+        (the entries are content-addressed, so they describe the same run
+        anyway) and the race is counted in ``write_races``.
         """
         envelope = {
             "cache_format": CACHE_FORMAT,
@@ -234,40 +204,18 @@ class ResultCache:
             "meta": meta or {},
             "result": result.to_dict(),
         }
-        created = self.store.put(cache_key(key, variants),
-                                 json.dumps(envelope).encode(),
-                                 generation=GENERATION)
-        if created:
+        if self.store.put(cache_key(key, variants),
+                          json.dumps(envelope).encode()):
             self.writes += 1
         else:
             self.write_races += 1
-        return self.path_for(key, variants)
-
-    # -------------------------------------------------------------- leases
-
-    def lease(self, key: RunKey,
-              variants: dict[str, RecorderConfig] | None = None,
-              *, owner: str, ttl_s: float) -> LeaseInfo:
-        """Try to claim the in-flight lease for ``key`` (fabric dedupe)."""
-        return self.store.acquire_lease(cache_key(key, variants),
-                                        owner, ttl_s)
-
-    def release(self, key: RunKey,
-                variants: dict[str, RecorderConfig] | None = None,
-                *, owner: str) -> None:
-        self.store.release_lease(cache_key(key, variants), owner)
 
     # ----------------------------------------------------------- accounting
-
-    def gc(self) -> int:
-        """Drop every entry from a different code generation; returns the
-        number removed."""
-        return self.store.gc(GENERATION)
 
     def counters(self) -> dict[str, int]:
         """Flat counter export for the metrics registry.
 
-        Always carries the four classic keys; quarantine reasons and
+        Always carries the four classic keys; corruption reasons and
         publish races appear as extra keys only when nonzero, so existing
         dashboards keep their shape on a healthy cache.
         """
@@ -341,12 +289,14 @@ def _execute_shard(payload: dict) -> dict:
     return reply
 
 
+
+
 @dataclass(frozen=True)
 class ShardOutcome:
     """How one shard of a sweep was satisfied."""
 
     key: RunKey
-    source: str          # "cache" | "run" | "fabric" (peer-published)
+    source: str          # "cache" | "run"
     attempts: int
     wall_seconds: float
 
@@ -355,16 +305,14 @@ class ShardPool:
     """Generic sharded map executor (the engine under the sweep runner).
 
     Maps a picklable ``worker`` over a list of items — with a per-shard
-    timeout, a retry budget, and a serial in-process fallback at
-    ``jobs=1`` — and returns the replies **in submission order**, so a
-    caller folding them is deterministic no matter how completions
-    interleave.  The multi-process path is the hook-less configuration
-    of :class:`~repro.harness.stealing.WorkStealingPool` (greedy head
-    dispatch from a shared deque; no straggler ever strands the rest of
-    a static partition).  :class:`ParallelRunner` drives its sweeps
-    through this; the fuzzer (:mod:`repro.fuzz.scheduler`) drives
-    candidate evaluation through the very same pool with its own worker
-    body.
+    timeout, a retry budget, and a serial in-process path at ``jobs=1``
+    — and returns the replies **in submission order**, so a caller
+    folding them is deterministic no matter how completions interleave.
+    At ``jobs>1`` the items wait in one queue and each free worker takes
+    the next one from its head, so a straggler never strands the items
+    behind it.  :class:`ParallelRunner` drives its sweeps through this;
+    the fuzzer (:mod:`repro.fuzz.scheduler`) drives candidate evaluation
+    through the very same pool with its own worker body.
 
     ``map`` callbacks (all optional) fire as shards progress:
     ``on_complete(index, item, reply)`` per success (completion order),
@@ -384,32 +332,97 @@ class ShardPool:
 
     def map(self, items, *, payload, describe=str, on_complete=None,
             on_retry=None, on_timeout=None, observe_seconds=None,
-            heartbeat=None, heartbeat_s: float | None = None) -> list:
+            heartbeat=None, heartbeat_s: float | None = None,
+            executor: ProcessPoolExecutor | None = None) -> list:
         """Run ``worker(payload(item, attempt))`` for every item.
 
         ``payload`` builds the (picklable) attempt payload; ``describe``
-        renders an item for error and retry lines.
+        renders an item for error and retry lines.  ``executor``
+        optionally reuses a warmed pool (benchmarks); at ``jobs>1`` one
+        is created for the call when absent.
         """
         items = list(items)
+        if not items:
+            return []
+        replies: list = [None] * len(items)
+
+        def complete(index: int, reply) -> None:
+            replies[index] = reply
+            if on_complete is not None:
+                on_complete(index, items[index], reply)
+
         if self.jobs == 1:
-            replies: list = [None] * len(items)
-
-            def complete(index: int, reply) -> None:
-                replies[index] = reply
-                if on_complete is not None:
-                    on_complete(index, items[index], reply)
-
             self._map_serial(items, payload, describe, complete, on_retry,
                              observe_seconds)
             return replies
-        engine = WorkStealingPool(jobs=self.jobs, worker=self.worker,
-                                  timeout_s=self.timeout_s,
-                                  retries=self.retries)
-        return engine.map(items, payload=payload, describe=describe,
-                          on_complete=on_complete, on_retry=on_retry,
-                          on_timeout=on_timeout,
-                          observe_seconds=observe_seconds,
-                          heartbeat=heartbeat, heartbeat_s=heartbeat_s)
+        failures: list[str] = []
+        ready: deque[int] = deque(range(len(items)))
+        in_flight: dict = {}   # future -> (index, attempt, started, deadline)
+        own_executor = executor is None
+        if own_executor:
+            executor = ProcessPoolExecutor(
+                max_workers=min(self.jobs, len(items)))
+
+        def submit(index: int, attempt: int) -> None:
+            future = executor.submit(self.worker,
+                                     payload(items[index], attempt))
+            started = time.monotonic()
+            deadline = (None if self.timeout_s is None
+                        else started + self.timeout_s)
+            in_flight[future] = (index, attempt, started, deadline)
+
+        def fail(index: int, attempt: int, reason: str) -> None:
+            if attempt < self.retries:
+                if on_retry is not None:
+                    on_retry(items[index], attempt + 1, reason)
+                submit(index, attempt + 1)
+            else:
+                failures.append(f"{describe(items[index])}: {reason}")
+
+        try:
+            while ready or in_flight:
+                while ready and len(in_flight) < self.jobs:
+                    submit(ready.popleft(), 0)
+                timeout = heartbeat_s or None
+                deadlines = [deadline for (_, _, _, deadline)
+                             in in_flight.values() if deadline is not None]
+                if deadlines:
+                    budget = max(0.0, min(deadlines) - time.monotonic())
+                    timeout = budget if timeout is None else min(timeout,
+                                                                 budget)
+                done, _ = wait(set(in_flight), timeout=timeout,
+                               return_when=FIRST_COMPLETED)
+                now = time.monotonic()
+                if not done and heartbeat is not None:
+                    heartbeat(len(in_flight))
+                for future in done:
+                    index, attempt, started, _ = in_flight.pop(future)
+                    if observe_seconds is not None:
+                        observe_seconds(now - started)
+                    exc = future.exception()
+                    if exc is None:
+                        complete(index, future.result())
+                    else:
+                        fail(index, attempt, f"{type(exc).__name__}: {exc}")
+                expired = [future for future, (_, _, _, deadline)
+                           in in_flight.items()
+                           if deadline is not None and deadline <= now]
+                for future in expired:
+                    index, attempt, started, _ = in_flight.pop(future)
+                    future.cancel()
+                    if on_timeout is not None:
+                        on_timeout(items[index], attempt)
+                    if observe_seconds is not None:
+                        observe_seconds(now - started)
+                    fail(index, attempt,
+                         f"timed out after {self.timeout_s:.1f}s")
+        finally:
+            if own_executor:
+                executor.shutdown(wait=False, cancel_futures=True)
+        if failures:
+            raise SweepError("sweep shards failed:\n  " +
+                             "\n  ".join(failures))
+        return replies
 
     def _map_serial(self, items, payload, describe, complete, on_retry,
                     observe_seconds) -> None:
@@ -434,6 +447,7 @@ class ShardPool:
                         observe_seconds(time.perf_counter() - started)
                 complete(index, reply)
                 break
+
 
 class ParallelRunner:
     """Process-pool executor for (workload x cores x model) sweep grids.
@@ -474,18 +488,6 @@ class ParallelRunner:
         opt-in).  Worker metrics snapshots are always folded into
         ``registry`` through the :attr:`aggregator`, so a parallel
         sweep's merged metrics match the serial path.
-    scheduler:
-        ``"static"`` (default) drives shards through the classic
-        :class:`ShardPool`; ``"stealing"`` drives them through the
-        work-stealing engine with in-flight leases in the shared cache —
-        cells a cooperating sweep process is already computing are
-        deferred, re-probed, and either deduped from its published
-        result or stolen when its lease expires.  Both produce
-        byte-identical results; stealing only changes who computes what,
-        when.
-    lease_ttl_s:
-        How long one in-flight lease is honored before peers may steal
-        the cell (stealing scheduler only).
     """
 
     def __init__(self, *, jobs: int | None = None,
@@ -494,13 +496,7 @@ class ParallelRunner:
                  timeout_s: float | None = None, retries: int = 1,
                  registry: MetricsRegistry | None = None,
                  progress=None, worker=None,
-                 telemetry: TelemetryConfig | None = None,
-                 scheduler: str = "static", lease_ttl_s: float = 30.0,
-                 poll_s: float = 0.2):
-        if scheduler not in ("static", "stealing"):
-            raise ConfigError(
-                f"unknown sweep scheduler {scheduler!r} "
-                f"(expected 'static' or 'stealing')")
+                 telemetry: TelemetryConfig | None = None):
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
         self.cache = cache
         self.variants = VARIANTS if variants is None else dict(variants)
@@ -512,14 +508,6 @@ class ParallelRunner:
             progress = lambda line: print(line, file=sys.stderr)  # noqa: E731
         self.progress = progress
         self.telemetry = telemetry if telemetry is not None else TelemetryConfig()
-        self.scheduler = scheduler
-        self.lease_ttl_s = lease_ttl_s
-        self.poll_s = poll_s
-        self.fabric = FabricTelemetry()
-        #: Lease identity of this runner — unique per instance so two
-        #: runners in one process (or one pid recycled across machines)
-        #: never mistake each other's leases for their own.
-        self.owner = f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
         self.aggregator = TelemetryAggregator()
         self._progress_tracker: SweepProgress | None = None
         self.executed = 0
@@ -543,12 +531,9 @@ class ParallelRunner:
 
         results: dict[RunKey, RunResult] = {}
         pending: list[RunKey] = []
-        # One batched lookup for the whole grid: a single round trip on
-        # the remote backend instead of one HTTP exchange per cell.
-        found = (self.cache.get_many(ordered, self.variants)
-                 if self.cache is not None else {})
         for key in ordered:
-            cached = found.get(key)
+            cached = (self.cache.get(key, self.variants)
+                      if self.cache is not None else None)
             if cached is not None:
                 results[key] = cached
                 self.outcomes.append(ShardOutcome(key, "cache", 0, 0.0))
@@ -570,68 +555,28 @@ class ParallelRunner:
         # trace accounting) into the sweep registry; deterministic merge,
         # so parallel and serial sweeps export identical metrics.
         self.aggregator.merge_into(self.registry)
-        self.fabric.merge_into(self.registry)
         return results
 
     def _execute(self, pending, results) -> None:
-        """Drive the outstanding shards through the scheduling engine."""
+        """Drive the outstanding shards through the shard pool."""
         sweep = self.registry.scoped("sweep")
 
         def on_retry(key: RunKey, attempt: int, reason: str) -> None:
             sweep.counter("retried").inc()
             self._note(f"[sweep] {key.describe()}: {reason}; retrying")
 
-        kwargs = dict(
-            payload=self._payload,
-            describe=RunKey.describe,
-            on_complete=lambda index, key, reply:
-                self._accept(key, reply, results),
-            on_retry=on_retry,
-            on_timeout=lambda key, attempt:
-                sweep.counter("timeouts").inc(),
-            observe_seconds=sweep.distribution("shard_seconds").observe,
-            heartbeat=lambda in_flight:
-                self._progress_tracker.heartbeat(in_flight),
-            heartbeat_s=self.telemetry.heartbeat_s)
-        if self.scheduler == "stealing":
-            engine = WorkStealingPool(
-                jobs=self.jobs, worker=self.worker,
-                timeout_s=self.timeout_s, retries=self.retries,
-                hooks=self._fabric_hooks(), stats=self.fabric,
-                poll_s=self.poll_s)
-            engine.map(pending, **kwargs)
-        else:
-            pool = ShardPool(jobs=self.jobs, worker=self.worker,
-                             timeout_s=self.timeout_s, retries=self.retries)
-            pool.map(pending, **kwargs)
-
-    def _fabric_hooks(self) -> FabricHooks:
-        """Lease/probe callbacks binding the stealing engine to the
-        shared cache; hook-less (pure work stealing) without a cache."""
-        if self.cache is None:
-            return FabricHooks()
-        return FabricHooks(probe=self._probe, acquire=self._acquire,
-                           release=self._release)
-
-    def _probe(self, key: RunKey):
-        """Re-check the shared cache for a deferred cell — a cooperating
-        process holding its lease may have published already."""
-        started = time.perf_counter()
-        result = self.cache.get(key, self.variants)
-        self.fabric.observe_lookup_ms(
-            (time.perf_counter() - started) * 1000.0)
-        if result is None:
-            return None
-        # In-process reply envelope: _accept() recognizes it and folds
-        # the peer-computed result without a worker round trip.
-        return {"fabric_cache": True, "result_obj": result}
-
-    def _acquire(self, key: RunKey) -> LeaseInfo:
-        return self.cache.lease(key, self.variants, owner=self.owner,
-                                ttl_s=self.lease_ttl_s)
-
-    def _release(self, key: RunKey) -> None:
-        self.cache.release(key, self.variants, owner=self.owner)
+        pool = ShardPool(jobs=self.jobs, worker=self.worker,
+                         timeout_s=self.timeout_s, retries=self.retries)
+        pool.map(pending, payload=self._payload, describe=RunKey.describe,
+                 on_complete=lambda index, key, reply:
+                     self._accept(key, reply, results),
+                 on_retry=on_retry,
+                 on_timeout=lambda key, attempt:
+                     sweep.counter("timeouts").inc(),
+                 observe_seconds=sweep.distribution("shard_seconds").observe,
+                 heartbeat=lambda in_flight:
+                     self._progress_tracker.heartbeat(in_flight),
+                 heartbeat_s=self.telemetry.heartbeat_s)
 
     # ------------------------------------------------------------ plumbing
 
@@ -647,18 +592,6 @@ class ParallelRunner:
         }
 
     def _accept(self, key: RunKey, reply: dict, results: dict) -> None:
-        if reply.get("fabric_cache"):
-            # A cooperating sweep process computed and published this
-            # cell while we were deferred on its lease; fold its result
-            # exactly as a cache hit (no executed++, no re-publish).
-            result = reply["result_obj"]
-            results[key] = result
-            self.outcomes.append(ShardOutcome(key, "fabric", 0, 0.0))
-            self.registry.scoped("sweep").counter("fabric_dedup").inc()
-            self.aggregator.ingest(key.label(), metrics=result.metrics,
-                                   source="cache")
-            self._progress_tracker.shard_done(key.describe(), "fabric")
-            return
         result = RunResult.from_dict(reply["result"])
         results[key] = result
         self.executed += 1
@@ -684,3 +617,35 @@ class ParallelRunner:
             self.progress(line)
         else:
             _LOG.info(line)
+
+
+# ------------------------------------------------------------- sweep flags
+
+def add_sweep_flags(parser, *, jobs: int | None) -> None:
+    """Add ``--jobs``, ``--cache-dir``, ``--no-cache`` and ``--resume`` —
+    the sweep flags every sweep command shares — to an argparse parser.
+
+    ``jobs`` is the command's ``--jobs`` default (``None``: CPU count).
+    ``--resume`` and ``--no-cache`` exclude each other.
+    """
+    parser.add_argument("--jobs", type=int, default=jobs,
+                        help="worker processes for the recording sweep "
+                             + ("(default: CPU count)" if jobs is None
+                                else f"(default {jobs})"))
+    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
+                        help="result cache directory; results live in "
+                             f"DIR/{CACHE_FILE} (default {DEFAULT_CACHE_DIR})")
+    use = parser.add_mutually_exclusive_group()
+    use.add_argument("--no-cache", action="store_true",
+                     help="do not read or write the result cache")
+    use.add_argument("--resume", action="store_true",
+                     help="resume an interrupted sweep from the cached "
+                          "shards (cache reads are on by default; this "
+                          "makes the intent explicit)")
+
+
+def open_cache(args) -> ResultCache | None:
+    """The result cache :func:`add_sweep_flags` selected (None under
+    ``--no-cache``).  An unusable cache file raises
+    :class:`~repro.harness.cachestore.CacheBackendError`."""
+    return None if args.no_cache else ResultCache(args.cache_dir)

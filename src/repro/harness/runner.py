@@ -9,9 +9,12 @@ expose interval-size sensitivity at reproduction scale — observe each
 execution simultaneously, which is sound because recording is passive.
 
 Beyond the per-process memo, the runner can be given a persistent
-:class:`~repro.harness.parallel_runner.ResultCache` (``cache_dir=...``)
-and a worker-pool width (``jobs=...``): :meth:`ExperimentRunner.prefetch`
-then shards outstanding recordings across processes through
+:class:`~repro.harness.parallel_runner.ResultCache` — the SQLite file
+``DIR/results.sqlite`` for ``cache_dir=DIR``, or any spec
+:meth:`~repro.harness.parallel_runner.ResultCache.from_spec` accepts for
+``cache_backend=...`` — and a worker-pool width (``jobs=...``):
+:meth:`ExperimentRunner.prefetch` then shards outstanding recordings
+across processes through
 :class:`~repro.harness.parallel_runner.ParallelRunner`, and every
 :meth:`record` call first consults the on-disk cache, which makes sweeps
 restartable — an interrupted invocation resumes from the shards already
@@ -170,37 +173,32 @@ def execute_run(key: RunKey,
 class ExperimentRunner:
     """Memoizing front-end over :class:`~repro.sim.machine.Machine`.
 
-    ``jobs``/``cache_dir`` opt into the parallel sharded executor and the
-    persistent result cache (see :mod:`repro.harness.parallel_runner`);
-    with the defaults the runner behaves exactly like the historical
-    serial, in-memory-only version.
+    ``jobs`` and ``cache_dir``/``cache_backend`` opt into the parallel
+    sharded executor and the persistent result cache (see
+    :mod:`repro.harness.parallel_runner`); with the defaults the runner
+    behaves exactly like the historical serial, in-memory-only version.
+    A malformed ``cache_backend`` or an unusable cache file raises
+    :class:`~repro.harness.cachestore.CacheBackendError`.
     """
 
     def __init__(self, *, seed: int = 1, scale: float | None = None,
                  workloads: tuple[str, ...] | None = None,
                  jobs: int = 1, cache_dir: str | None = None,
                  cache_backend: str | None = None,
-                 use_cache: bool | None = None,
                  variants: dict[str, RecorderConfig] | None = None,
-                 progress=None, scheduler: str = "static"):
+                 progress=None):
         self.seed = seed
         self.scale = default_scale() if scale is None else scale
         self._workloads = tuple(workloads) if workloads else WORKLOAD_NAMES
         self.jobs = max(1, jobs)
         self.variants = VARIANTS if variants is None else dict(variants)
         self.progress = progress
-        self.scheduler = scheduler
-        if use_cache is None:
-            use_cache = cache_dir is not None or cache_backend is not None
         self.cache = None
-        if use_cache:
-            from .parallel_runner import DEFAULT_CACHE_DIR, ResultCache
-            if cache_backend:
-                # Pluggable backend spec (dir:/sqlite:/http://); malformed
-                # specs raise CacheBackendError -> CLI usage exit code 2.
-                self.cache = ResultCache.from_spec(cache_backend)
-            else:
-                self.cache = ResultCache(cache_dir or DEFAULT_CACHE_DIR)
+        if cache_backend is not None or cache_dir is not None:
+            from .parallel_runner import ResultCache
+            self.cache = (ResultCache.from_spec(cache_backend)
+                          if cache_backend is not None
+                          else ResultCache(cache_dir))
         self._memo: dict[RunKey, RunResult] = {}
         self._sweep_registry = None
 
@@ -259,8 +257,7 @@ class ExperimentRunner:
         from .parallel_runner import ParallelRunner
         runner = ParallelRunner(jobs=self.jobs, cache=self.cache,
                                 variants=self.variants,
-                                progress=self.progress,
-                                scheduler=self.scheduler)
+                                progress=self.progress)
         self._memo.update(runner.run(missing))
         self._sweep_registry = runner.registry
         return runner.executed

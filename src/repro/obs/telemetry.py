@@ -23,11 +23,6 @@ This module is the parent-process side of that pipeline:
   produce the same merged snapshot.
 * :class:`SweepProgress` — live progress lines with completion counts,
   percentage, ETA and periodic heartbeats for long sweeps.
-* :class:`FabricTelemetry` — scheduling-side accounting for the
-  distributed sweep fabric (:mod:`repro.harness.stealing`): lease
-  acquisitions/deferrals/steals, cross-process dedup hits and shared-
-  cache lookup latencies, mergeable into a registry under
-  ``sweep.fabric.*``.
 
 Rollup rules are keyed on the snapshot-name suffix conventions of
 :mod:`repro.obs.metrics`: ``.count`` and plain integer metrics sum,
@@ -44,7 +39,7 @@ from dataclasses import dataclass, field
 from .metrics import MetricsRegistry, MetricsSnapshot
 
 __all__ = ["TELEMETRY_FORMAT", "TelemetryConfig", "ShardTelemetry",
-           "TelemetryAggregator", "SweepProgress", "FabricTelemetry"]
+           "TelemetryAggregator", "SweepProgress"]
 
 #: Version stamp of the worker telemetry payload; replies carrying any
 #: other value are quarantined (a worker from a different code version).
@@ -286,52 +281,6 @@ class TelemetryAggregator:
                 registry.gauge(f"{prefix}.shard.{label}.{key}").set(value)
 
 
-class FabricTelemetry:
-    """Scheduling-side counters for the distributed sweep fabric.
-
-    The work-stealing pool (:mod:`repro.harness.stealing`) counts every
-    scheduling event here — ``dispatched``, ``lease_acquired``,
-    ``lease_deferred``, ``lease_stolen``, ``lease_released``, ``steals``,
-    ``dedup_hits`` — and the sweep runner adds shared-cache lookup
-    latencies via :meth:`observe_lookup_ms`.  Purely additive and
-    thread-safe enough for the single-driver pool loop; never consulted
-    for correctness, only exported (:meth:`merge_into`) under
-    ``sweep.fabric.*`` so two cooperating processes' metrics files show
-    who executed, who deduped and who stole.
-    """
-
-    def __init__(self):
-        self.counters: dict[str, int] = {}
-        self.lookup_ms: list[float] = []
-
-    def count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
-
-    def observe_lookup_ms(self, ms: float) -> None:
-        """Record one shared-cache lookup latency (milliseconds)."""
-        self.lookup_ms.append(ms)
-
-    def to_dict(self) -> dict:
-        out = dict(sorted(self.counters.items()))
-        if self.lookup_ms:
-            out["lookup_ms_max"] = max(self.lookup_ms)
-            out["lookup_ms_mean"] = (sum(self.lookup_ms)
-                                     / len(self.lookup_ms))
-            out["lookups"] = len(self.lookup_ms)
-        return out
-
-    def merge_into(self, registry: MetricsRegistry,
-                   *, prefix: str = "sweep.fabric") -> None:
-        """Export counters and lookup-latency stats into ``registry``."""
-        scope = registry.scoped(prefix)
-        for name in sorted(self.counters):
-            scope.counter(name).value = self.counters[name]
-        if self.lookup_ms:
-            dist = scope.distribution("lookup_ms")
-            for ms in self.lookup_ms:
-                dist.observe(ms)
-
-
 class SweepProgress:
     """Progress/heartbeat/ETA lines for a sweep of known size.
 
@@ -361,11 +310,6 @@ class SweepProgress:
         if source == "cache":
             self.cached += 1
             detail = "cache hit"
-        elif source == "fabric":
-            # A cooperating sweep process leased the cell, ran it, and
-            # published the result before our lease poll came around.
-            self.cached += 1
-            detail = "deduped via shared cache"
         else:
             detail = f"recorded in {wall_seconds:.1f}s"
         line = (f"[sweep] {label}: {detail} "

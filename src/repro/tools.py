@@ -6,9 +6,7 @@ Usage::
     python -m repro.tools replay rec/ --variant opt_4k
     python -m repro.tools inspect rec/
     python -m repro.tools sweep --workloads fft,radix --cores 4,8 \\
-        --consistency RC,TSO --jobs 4 --scheduler stealing \\
-        --cache-url http://cachehost:8123
-    python -m repro.tools cache-serve --port 8123 --store sweep.sqlite
+        --consistency RC,TSO --jobs 4 --cache-dir .repro_cache
     python -m repro.tools sweep-bench --cells 64 --jobs 8 --min-speedup 3
     python -m repro.tools bench --workloads fft --cores 16 \\
         --out BENCH_kernel.json --min-speedup 1.5
@@ -22,14 +20,12 @@ configured machine and saves the recording directory; ``replay``
 deterministically replays a stored variant, verifying against the stored
 execution; ``inspect`` summarizes the logs without replaying.  ``sweep``
 records a (workload x cores x consistency) grid through the parallel
-sharded runner with the persistent result cache — interrupt it and rerun
-(``--resume``) and it picks up where it left off.  The cache is
-pluggable (``--cache-backend dir:/sqlite:/http://``), ``cache-serve``
-runs the shared HTTP cache daemon, ``--scheduler stealing`` swaps the
-static shard split for the work-stealing engine whose in-flight leases
-dedupe cells across cooperating sweep processes, and ``sweep-bench``
-measures all of it (straggler-skew speedup, lease dedupe, warm remote
-hits) into the perf-observatory history.  ``bench`` times the
+sharded runner with the persistent result cache (the SQLite file
+``DIR/results.sqlite`` for ``--cache-dir DIR``) — interrupt it and rerun
+(``--resume``) and it picks up where it left off.  ``sweep-bench``
+measures the shard pool's queue dispatch against a static pre-split on
+a straggler-skewed grid and appends the speedup to the perf-observatory
+history.  ``bench`` times the
 event-driven and lockstep simulation kernels on the same workloads,
 checks their results are bit-identical, writes the comparison to a JSON
 report and appends one record per workload to the append-only
@@ -67,6 +63,7 @@ from .common.errors import (
     ReplayDivergenceError,
     WorkloadError,
 )
+from .harness.parallel_runner import add_sweep_flags
 from .obs.logging import add_log_level_argument, setup_logging
 from .recorder.logfmt import IntervalFrame
 from .sim import Machine
@@ -302,21 +299,7 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.resume and args.no_cache:
-        print("error: --resume needs the result cache; drop --no-cache",
-              file=sys.stderr)
-        return 2
-    if args.cache_backend and args.cache_url:
-        print("error: --cache-backend and --cache-url are two spellings of "
-              "the same thing; give one", file=sys.stderr)
-        return 2
-    backend_spec = args.cache_backend or args.cache_url
-    if args.no_cache and backend_spec:
-        print("error: --no-cache contradicts --cache-backend/--cache-url",
-              file=sys.stderr)
-        return 2
-    from .harness.parallel_runner import (DEFAULT_CACHE_DIR, ParallelRunner,
-                                          ResultCache)
+    from .harness.parallel_runner import ParallelRunner, open_cache
     from .harness.report import format_table, render_sweep_summary
     from .harness.runner import RunKey
 
@@ -336,24 +319,17 @@ def cmd_sweep(args) -> int:
             for workload in workloads
             for cores in core_counts
             for model in models]
-    if args.no_cache:
-        cache = None
-    elif backend_spec:
-        # Malformed specs raise CacheBackendError (a ConfigError), which
-        # main() maps to the usage exit code 2.
-        cache = ResultCache.from_spec(backend_spec)
-    else:
-        cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
+    # An unusable cache file raises CacheBackendError (a ConfigError),
+    # which main() maps to the usage exit code 2.
+    cache = open_cache(args)
     from .obs.telemetry import TelemetryConfig
     telemetry = TelemetryConfig(
         capture_trace=args.capture_trace or bool(args.trace_out),
         trace_capacity=args.trace_capacity)
     # Progress lines go through the structured repro.harness.sweep logger
     # (configured by --log-level in main), not ad-hoc stderr prints.
-    runner = ParallelRunner(
-        jobs=args.jobs, cache=cache, timeout_s=args.timeout,
-        telemetry=telemetry, scheduler=args.scheduler,
-        lease_ttl_s=args.lease_ttl)
+    runner = ParallelRunner(jobs=args.jobs, cache=cache,
+                            timeout_s=args.timeout, telemetry=telemetry)
     results = runner.run(keys)
 
     rows = []
@@ -378,7 +354,7 @@ def cmd_sweep(args) -> int:
         from .sim.serialize import run_result_to_dict
         # Fully deterministic artifact: serialized results keyed by shard
         # label, no wall times or counters — byte-identical no matter the
-        # scheduler, backend, job width or cache temperature.
+        # job width or cache temperature.
         payload = {key.label(): run_result_to_dict(results[key])
                    for key in sorted(keys, key=RunKey.label)}
         with open(args.results_out, "w") as handle:
@@ -404,9 +380,9 @@ def cmd_sweep(args) -> int:
 def _bench_cell_worker(payload: dict) -> dict:
     """``sweep-bench`` worker: one synthetic sweep cell (pure sleep).
 
-    The fabric bench measures *scheduling*, not simulation — a sleep of
-    the cell's nominal cost makes the straggler skew exact and the run
-    fast enough for CI.
+    The bench measures *scheduling*, not simulation — a sleep of the
+    cell's nominal cost makes the straggler skew exact and the run fast
+    enough for CI.
     """
     import time
     time.sleep(payload["sleep_s"])
@@ -416,10 +392,9 @@ def _bench_cell_worker(payload: dict) -> dict:
 def _bench_partition_worker(payload: dict) -> dict:
     """``sweep-bench`` worker: one static partition, run serially.
 
-    This is the honest pre-split baseline: each worker receives its
-    contiguous slice of the grid up front and must finish all of it,
-    exactly like the pre-PR static shard split — a straggler-heavy slice
-    idles every other worker.
+    This is the pre-split baseline: each worker receives its contiguous
+    slice of the grid up front and must finish all of it, so a
+    straggler-heavy slice idles every other worker.
     """
     import time
     for sleep_s in payload["sleeps"]:
@@ -427,17 +402,27 @@ def _bench_partition_worker(payload: dict) -> dict:
     return {"cells": len(payload["sleeps"])}
 
 
+def static_partitions(count: int, jobs: int) -> list[list[int]]:
+    """The static shard split ``sweep-bench`` measures the shard pool
+    against: ``count`` cells pre-partitioned into ``jobs`` contiguous
+    slices (empty slices dropped)."""
+    jobs = max(1, jobs)
+    size, extra = divmod(count, jobs)
+    out, start = [], 0
+    for rank in range(jobs):
+        width = size + (1 if rank < extra else 0)
+        out.append(list(range(start, start + width)))
+        start += width
+    return [part for part in out if part]
+
+
 def cmd_sweep_bench(args) -> int:
-    import threading
     import time
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures import wait as futures_wait
 
     from .common.hashing import stable_digest
-    from .harness.cached import CacheDaemon
-    from .harness.cachestore import MemoryStore, RemoteStore
-    from .harness.stealing import (FabricHooks, WorkStealingPool,
-                                   static_partitions)
+    from .harness.parallel_runner import ShardPool
 
     jobs = max(2, args.jobs)
     cells = max(jobs, args.cells)
@@ -462,114 +447,28 @@ def cmd_sweep_bench(args) -> int:
                   for part in parts])
     static_s = time.perf_counter() - started
 
-    # ---- arm 2: work stealing over the same cells and the same pool.
-    engine = WorkStealingPool(jobs=jobs, worker=_bench_cell_worker)
+    # ---- arm 2: the shard pool's queue dispatch over the same cells.
     started = time.perf_counter()
-    engine.map(list(range(cells)),
-               payload=lambda i, attempt: {"index": i, "attempt": attempt,
-                                           "sleep_s": sleeps[i]},
-               executor=pool)
-    stealing_s = time.perf_counter() - started
-    speedup = static_s / stealing_s if stealing_s > 0 else float("inf")
-
-    # ---- arm 3: two cooperating schedulers, one lease domain.  Both
-    # sweep the same cells concurrently; leases must make each cell
-    # execute exactly once in total, the other rank deduping from the
-    # shared store.
-    store = MemoryStore()
-    lock = threading.Lock()
-    executed = [0, 0]
-    deduped = [0, 0]
-
-    def run_rank(rank: int) -> None:
-        owner = f"rank{rank}"
-
-        def probe(i):
-            if store.get(f"cell-{i}") is None:
-                return None
-            return {"dedup": True, "index": i}
-
-        def on_complete(index, item, reply):
-            with lock:
-                if reply.get("dedup"):
-                    deduped[rank] += 1
-                else:
-                    # Publish BEFORE the engine releases our lease (it
-                    # calls release after on_complete returns) — the
-                    # ordering the dedupe guarantee rests on.
-                    store.put(f"cell-{item}", b"done")
-                    executed[rank] += 1
-
-        hooks = FabricHooks(
-            probe=probe,
-            acquire=lambda i: store.acquire_lease(f"cell-{i}", owner, 30.0),
-            release=lambda i: store.release_lease(f"cell-{i}", owner))
-        rank_engine = WorkStealingPool(jobs=max(1, jobs // 2),
-                                       worker=_bench_cell_worker,
-                                       hooks=hooks, poll_s=0.005)
-        rank_engine.map(
-            list(range(cells)),
-            payload=lambda i, attempt: {"index": i, "attempt": attempt,
-                                        "sleep_s": args.light_ms / 1000.0},
-            on_complete=on_complete,
-            executor=pool)
-
-    threads = [threading.Thread(target=run_rank, args=(rank,))
-               for rank in (0, 1)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    ShardPool(jobs=jobs, worker=_bench_cell_worker).map(
+        list(range(cells)),
+        payload=lambda i, attempt: {"index": i, "attempt": attempt,
+                                    "sleep_s": sleeps[i]},
+        executor=pool)
+    deque_s = time.perf_counter() - started
     pool.shutdown()
-    total_executed = sum(executed)
-    exactly_once = total_executed == cells
-
-    # ---- arm 4: warm remote-cache hits through the HTTP daemon.
-    daemon = CacheDaemon(MemoryStore()).start()
-    remote = RemoteStore(daemon.url)
-    blob = json.dumps({"pad": "x" * 2000}).encode()
-    for i in range(cells):
-        remote.put(f"warm-{i}", blob)
-    lookups_ms = []
-    for _ in range(args.warm_lookups):
-        started = time.perf_counter()
-        remote.get("warm-0")
-        lookups_ms.append((time.perf_counter() - started) * 1000.0)
-    started = time.perf_counter()
-    found = remote.get_many([f"warm-{i}" for i in range(cells)])
-    batch_s = time.perf_counter() - started
-    remote.close()
-    daemon.stop()
-    lookups_ms.sort()
-    warm_ms = lookups_ms[len(lookups_ms) // 2]
+    speedup = static_s / deque_s if deque_s > 0 else float("inf")
 
     config = {"cells": cells, "heavy": heavy, "heavy_ms": args.heavy_ms,
               "light_ms": args.light_ms, "jobs": jobs}
-    report = {
-        "config": config,
-        "skew": {"static_s": round(static_s, 4),
-                 "stealing_s": round(stealing_s, 4),
-                 "speedup": round(speedup, 3)},
-        "fabric": {"executed": executed, "deduped": deduped,
-                   "total_executed": total_executed, "cells": cells,
-                   "exactly_once": exactly_once},
-        "remote": {"warm_hit_ms_p50": round(warm_ms, 3),
-                   "warm_hit_ms_max": round(lookups_ms[-1], 3),
-                   "batch_s": round(batch_s, 4),
-                   "batch_cells_per_s": round(len(found) / batch_s, 1)
-                   if batch_s > 0 else float("inf")},
-    }
+    report = {"config": config,
+              "skew": {"static_s": round(static_s, 4),
+                       "deque_s": round(deque_s, 4),
+                       "speedup": round(speedup, 3)}}
 
     print(f"sweep-bench: skewed {cells}-cell grid, {heavy} heavy cells, "
           f"{jobs} workers")
     print(f"  static split   {static_s:8.3f}s")
-    print(f"  work stealing  {stealing_s:8.3f}s   ({speedup:.2f}x)")
-    print(f"  lease dedupe   {total_executed}/{cells} cells executed "
-          f"across 2 cooperating schedulers "
-          f"(rank0 {executed[0]}+{deduped[0]} dedup, "
-          f"rank1 {executed[1]}+{deduped[1]} dedup)")
-    print(f"  warm remote    {warm_ms:.2f}ms/hit (p50), "
-          f"{cells}-key batch in {batch_s * 1000:.1f}ms")
+    print(f"  queue dispatch {deque_s:8.3f}s   ({speedup:.2f}x)")
 
     if args.out:
         with open(args.out, "w") as handle:
@@ -578,37 +477,24 @@ def cmd_sweep_bench(args) -> int:
     if not args.no_history:
         from .obs.perfdb import (PERFDB_SCHEMA, PerfRecord, append_records,
                                  git_revision)
+        # The series keeps its historical kernel label so new records
+        # extend the existing (workload, config, kernel) history.
         record = PerfRecord(
             schema=PERFDB_SCHEMA, timestamp=time.time(),
             git_rev=git_revision(), config_hash=stable_digest(config)[:16],
             workload="sweep_fabric_skew", cycles=cells, instructions=cells,
-            wall_s=round(stealing_s, 4),
-            sim_cycles_per_s=round(cells / stealing_s, 2)
-            if stealing_s > 0 else 0.0,
+            wall_s=round(deque_s, 4),
+            sim_cycles_per_s=round(cells / deque_s, 2)
+            if deque_s > 0 else 0.0,
             speedup=round(speedup, 3), kernel="stealing")
         append_records(args.history, [record])
         print(f"  history +1 record -> {args.history}")
 
-    code = 0
-    if not exactly_once:
-        print(f"FAIL: {total_executed} executions for {cells} cells — "
-              f"lease dedupe must make each cell execute exactly once",
-              file=sys.stderr)
-        code = 1
     if args.min_speedup is not None and speedup < args.min_speedup:
-        print(f"FAIL: stealing speedup {speedup:.2f}x below the "
+        print(f"FAIL: queue-dispatch speedup {speedup:.2f}x below the "
               f"--min-speedup {args.min_speedup:.2f}x gate",
               file=sys.stderr)
-        code = 1
-    return code
-
-
-def cmd_cache_serve(args) -> int:
-    from .harness.cached import serve
-    from .harness.cachestore import MemoryStore, SQLiteStore
-
-    store = SQLiteStore(args.store) if args.store else MemoryStore()
-    serve(store, host=args.host, port=args.port)
+        return 1
     return 0
 
 
@@ -950,35 +836,11 @@ def main(argv: list[str] | None = None) -> int:
                        help="attach the SC/TSO baseline recorders")
     sweep.add_argument("--scale", type=float, default=0.5)
     sweep.add_argument("--seed", type=int, default=1)
-    sweep.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: CPU count)")
-    sweep.add_argument("--cache-dir", default=None,
-                       help="result cache directory (default .repro_cache)")
-    sweep.add_argument("--cache-backend", default=None, metavar="SPEC",
-                       help="pluggable cache backend: dir:PATH, sqlite:PATH "
-                            "or http://HOST:PORT (a running cache-serve "
-                            "daemon); overrides --cache-dir")
-    sweep.add_argument("--cache-url", default=None, metavar="URL",
-                       help="shorthand for --cache-backend http://... "
-                            "(remote cache daemon URL)")
-    sweep.add_argument("--scheduler", default="static",
-                       choices=("static", "stealing"),
-                       help="shard scheduler: static pool or work-stealing "
-                            "deque with in-flight leases deduping cells "
-                            "across cooperating sweep processes")
-    sweep.add_argument("--lease-ttl", type=float, default=30.0,
-                       metavar="SECONDS",
-                       help="in-flight lease TTL before peers may steal a "
-                            "cell (stealing scheduler; default 30)")
+    add_sweep_flags(sweep, jobs=None)
     sweep.add_argument("--results-out", default=None,
                        help="write the serialized results keyed by shard "
                             "label (deterministic: byte-identical across "
-                            "schedulers, backends and cache temperature)")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="do not read or write the result cache")
-    sweep.add_argument("--resume", action="store_true",
-                       help="resume an interrupted sweep from cached shards "
-                            "(on by default; rejects --no-cache)")
+                            "job widths and cache temperature)")
     sweep.add_argument("--timeout", type=float, default=None,
                        help="per-shard timeout in seconds")
     sweep.add_argument("--metrics-out", default=None,
@@ -996,9 +858,8 @@ def main(argv: list[str] | None = None) -> int:
 
     sweep_bench = sub.add_parser(
         "sweep-bench",
-        help="benchmark the sweep fabric: static vs work-stealing on a "
-             "straggler-skewed grid, two-scheduler lease dedupe, and warm "
-             "remote-cache hit latency")
+        help="benchmark the shard pool's queue dispatch against a static "
+             "split on a straggler-skewed grid")
     sweep_bench.add_argument("--cells", type=int, default=64,
                              help="synthetic grid size (default 64)")
     sweep_bench.add_argument("--heavy", type=int, default=8,
@@ -1010,9 +871,6 @@ def main(argv: list[str] | None = None) -> int:
                              help="light cell cost in ms (default 10)")
     sweep_bench.add_argument("--jobs", type=int, default=8,
                              help="worker processes (default 8)")
-    sweep_bench.add_argument("--warm-lookups", type=int, default=50,
-                             help="single-key warm-hit samples against the "
-                                  "cache daemon (default 50)")
     sweep_bench.add_argument("--out", default=None,
                              help="write the JSON report")
     sweep_bench.add_argument("--history", default="BENCH_history.jsonl",
@@ -1021,20 +879,10 @@ def main(argv: list[str] | None = None) -> int:
     sweep_bench.add_argument("--no-history", action="store_true",
                              help="do not append this run to the history")
     sweep_bench.add_argument("--min-speedup", type=float, default=None,
-                             help="exit non-zero if stealing beats the "
-                                  "static split by less than this factor")
+                             help="exit non-zero if queue dispatch beats "
+                                  "the static split by less than this "
+                                  "factor")
     sweep_bench.set_defaults(func=cmd_sweep_bench)
-
-    cache_serve = sub.add_parser(
-        "cache-serve",
-        help="serve a shared sweep result cache over HTTP (point sweeps "
-             "at it with --cache-url)")
-    cache_serve.add_argument("--host", default="127.0.0.1")
-    cache_serve.add_argument("--port", type=int, default=8123)
-    cache_serve.add_argument("--store", default=None,
-                             help="backing store: a SQLite path (durable) "
-                                  "or omitted for in-memory")
-    cache_serve.set_defaults(func=cmd_cache_serve)
 
     bench = sub.add_parser(
         "bench", help="time every kernel against the lockstep reference "

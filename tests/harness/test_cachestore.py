@@ -1,52 +1,28 @@
-"""Tests for the pluggable cache backends behind the sweep fabric.
+"""Tests for the SQLite store behind the sweep result cache.
 
-Covers the :class:`CacheStore` contract across all four backends
-(directory, SQLite, memory, HTTP daemon): blob round trips, atomic
-first-writer-wins publishes, generation GC, quarantine, the in-flight
-lease protocol (acquire / refuse / refresh / expire / steal / release),
-and the ``parse_backend`` spec grammar with its exit-code-2 error shapes.
+Covers the blob contract on a file store and on the ``memory`` store
+(round trip, first-writer-wins publishes, delete), the typed
+:class:`CacheBackendError` for a cache file that cannot be used, and the
+``parse_backend`` spec grammar with its exit-code-2 error shapes.
 """
 
-import gzip
-import json
+import re
 
 import pytest
 
-from repro.harness.cached import CacheDaemon
 from repro.harness.cachestore import (
     CacheBackendError,
-    DirStore,
-    LeaseInfo,
-    MemoryStore,
-    RemoteStore,
     SQLiteStore,
     parse_backend,
 )
 
 
-class FakeClock:
-    """Deterministic stand-in for ``time.time`` (lease expiry tests)."""
-
-    def __init__(self, now=1000.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
-@pytest.fixture(params=["dir", "sqlite", "memory"])
+@pytest.fixture(params=["sqlite", "memory"])
 def store(request, tmp_path):
-    clock = FakeClock()
-    if request.param == "dir":
-        built = DirStore(tmp_path / "cache", clock=clock)
-    elif request.param == "sqlite":
-        built = SQLiteStore(tmp_path / "cache.sqlite", clock=clock)
+    if request.param == "sqlite":
+        built = SQLiteStore(tmp_path / "cache.sqlite")
     else:
-        built = MemoryStore(clock=clock)
-    built.test_clock = clock
+        built = parse_backend("memory")
     yield built
     built.close()
 
@@ -56,15 +32,14 @@ def store(request, tmp_path):
 class TestBlobContract:
     def test_round_trip_and_miss(self, store):
         assert store.get("k1") is None
-        assert store.put("k1", b"payload", generation="g1") is True
+        assert store.put("k1", b"payload") is True
         assert store.get("k1") == b"payload"
-        assert store.keys() == ["k1"]
         assert len(store) == 1
 
     def test_first_writer_wins(self, store):
-        assert store.put("k", b"first", generation="g") is True
+        assert store.put("k", b"first") is True
         # The losing publish reports False and never clobbers the winner.
-        assert store.put("k", b"second", generation="g") is False
+        assert store.put("k", b"second") is False
         assert store.get("k") == b"first"
 
     def test_delete(self, store):
@@ -73,189 +48,56 @@ class TestBlobContract:
         assert store.delete("k") is False
         assert store.get("k") is None
 
-    def test_get_many_returns_only_hits(self, store):
-        store.put("a", b"1")
-        store.put("b", b"2")
-        found = store.get_many(["a", "b", "missing"])
-        assert found == {"a": b"1", "b": b"2"}
-        assert store.get_many([]) == {}
 
-    def test_gc_drops_foreign_generations(self, store):
-        store.put("current", b"x", generation="gen-now")
-        store.put("stale", b"y", generation="gen-old")
-        store.put("untagged", b"z")
-        assert store.gc("gen-now") == 2
-        assert store.keys() == ["current"]
+# ------------------------------------------------------- unusable cache file
 
+class TestUnusableCacheFile:
+    def test_non_database_file_raises_backend_error(self, tmp_path):
+        path = tmp_path / "results.sqlite"
+        path.write_bytes(b"not a database " * 200)
+        with pytest.raises(CacheBackendError,
+                           match=re.escape(f"cache {path}:")):
+            SQLiteStore(path)
 
-class TestDirStoreLayout:
-    def test_classic_json_layout_is_preserved(self, tmp_path):
-        """Back-compat: entries still live at ``<root>/<key>.json`` so a
-        pre-fabric ``.repro_cache/`` keeps working."""
-        store = DirStore(tmp_path / "cache")
-        store.put("abc123", b"{}", generation="g")
-        assert (tmp_path / "cache" / "abc123.json").read_bytes() == b"{}"
-        # Pre-existing entries (no .gen sidecar) are readable too.
-        (tmp_path / "cache" / "old999.json").write_bytes(b"legacy")
-        assert store.get("old999") == b"legacy"
-
-    def test_quarantine_renames_not_deletes(self, tmp_path):
-        store = DirStore(tmp_path / "cache")
-        store.put("bad", b"torn", generation="g")
-        store.quarantine("bad", "decode")
-        assert store.get("bad") is None
-        assert (tmp_path / "cache" / "bad.corrupt").exists()
-
-    def test_no_tmp_droppings_after_put_race(self, tmp_path):
-        store = DirStore(tmp_path / "cache")
-        store.put("k", b"first")
-        store.put("k", b"second")   # loses the race
-        leftovers = [p.name for p in (tmp_path / "cache").iterdir()
-                     if ".tmp" in p.name]
-        assert leftovers == []
-
-
-# ------------------------------------------------------------------ leases
-
-class TestLeases:
-    def test_acquire_then_peer_refused(self, store):
-        mine = store.acquire_lease("cell", "alice", ttl_s=30.0)
-        assert mine.acquired and mine.owner == "alice" and not mine.stolen
-        theirs = store.acquire_lease("cell", "bob", ttl_s=30.0)
-        assert not theirs.acquired
-        assert theirs.owner == "alice"
-        assert theirs.deadline == pytest.approx(mine.deadline)
-
-    def test_same_owner_refreshes(self, store):
-        store.acquire_lease("cell", "alice", ttl_s=30.0)
-        store.test_clock.advance(10.0)
-        again = store.acquire_lease("cell", "alice", ttl_s=30.0)
-        assert again.acquired and not again.stolen
-
-    def test_release_frees_the_cell(self, store):
-        store.acquire_lease("cell", "alice", ttl_s=30.0)
-        store.release_lease("cell", "alice")
-        theirs = store.acquire_lease("cell", "bob", ttl_s=30.0)
-        assert theirs.acquired and not theirs.stolen
-
-    def test_release_by_non_owner_is_ignored(self, store):
-        store.acquire_lease("cell", "alice", ttl_s=30.0)
-        store.release_lease("cell", "mallory")
-        theirs = store.acquire_lease("cell", "bob", ttl_s=30.0)
-        assert not theirs.acquired
-
-    def test_expired_lease_is_stolen(self, store):
-        store.acquire_lease("cell", "alice", ttl_s=5.0)
-        store.test_clock.advance(6.0)
-        stolen = store.acquire_lease("cell", "bob", ttl_s=30.0)
-        assert stolen.acquired and stolen.stolen
-
-    def test_torn_lease_file_is_stolen(self, tmp_path):
-        store = DirStore(tmp_path / "cache")
-        store.acquire_lease("cell", "alice", ttl_s=30.0)
-        (tmp_path / "cache" / "cell.lease").write_text("{ not json")
-        info = store.acquire_lease("cell", "bob", ttl_s=30.0)
-        assert info.acquired
-
-
-def test_lease_info_round_trips_through_dict():
-    info = LeaseInfo(True, "alice", 1234.5, stolen=True)
-    assert LeaseInfo.from_dict(info.to_dict()) == info
-
-
-# ------------------------------------------------------------------ remote
-
-@pytest.fixture
-def daemon():
-    running = CacheDaemon(MemoryStore()).start()
-    yield running
-    running.stop()
-
-
-class TestRemoteStore:
-    def test_blob_round_trip_over_http(self, daemon):
-        remote = RemoteStore(daemon.url)
-        assert remote.get("k") is None
-        assert remote.put("k", b"payload", generation="g") is True
-        assert remote.put("k", b"other", generation="g") is False
-        assert remote.get("k") == b"payload"
-        assert remote.keys() == ["k"]
-        assert remote.delete("k") is True
-        remote.close()
-
-    def test_batch_lookup_is_one_round_trip(self, daemon):
-        remote = RemoteStore(daemon.url)
-        remote.put("a", b"1")
-        remote.put("b", b"2")
-        assert remote.get_many(["a", "b", "miss"]) == {"a": b"1", "b": b"2"}
-        stats = remote.stats()
-        assert stats["batch_lookups"] == 1
-        assert stats["store"] == "memory"
-        remote.close()
-
-    def test_large_blob_survives_gzip_both_ways(self, daemon):
-        remote = RemoteStore(daemon.url)
-        blob = json.dumps({"x": list(range(2000))}).encode()
-        assert len(blob) > 4096   # forces gzip on the wire in both ways
-        remote.put("big", blob)
-        assert remote.get("big") == blob
-        assert gzip   # wire compression is transparent to callers
-        remote.close()
-
-    def test_lease_protocol_over_http(self, daemon):
-        alice = RemoteStore(daemon.url)
-        bob = RemoteStore(daemon.url)
-        mine = alice.acquire_lease("cell", "alice", ttl_s=30.0)
-        assert mine.acquired
-        theirs = bob.acquire_lease("cell", "bob", ttl_s=30.0)
-        assert not theirs.acquired and theirs.owner == "alice"
-        alice.release_lease("cell", "alice")
-        assert bob.acquire_lease("cell", "bob", ttl_s=30.0).acquired
-        alice.close()
-        bob.close()
-
-    def test_gc_over_http(self, daemon):
-        remote = RemoteStore(daemon.url)
-        remote.put("new", b"x", generation="now")
-        remote.put("old", b"y", generation="then")
-        assert remote.gc("now") == 1
-        assert remote.keys() == ["new"]
-        remote.close()
-
-    def test_connection_is_reused(self, daemon):
-        remote = RemoteStore(daemon.url)
-        remote.put("k", b"v")
-        first = remote._conn
-        for _ in range(3):
-            remote.get("k")
-        assert remote._conn is first
-        remote.close()
+    def test_uncreatable_directory_raises_backend_error(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where a directory should be")
+        path = blocker / "cache" / "results.sqlite"
+        with pytest.raises(CacheBackendError,
+                           match=re.escape(f"cache {path}:")):
+            SQLiteStore(path)
 
 
 # ----------------------------------------------------------------- factory
 
 class TestParseBackend:
     def test_spec_dispatch(self, tmp_path):
-        assert isinstance(parse_backend(f"dir:{tmp_path}/c"), DirStore)
-        assert isinstance(parse_backend(str(tmp_path / "bare")), DirStore)
-        sqlite_store = parse_backend(f"sqlite:{tmp_path}/c.sqlite")
-        assert isinstance(sqlite_store, SQLiteStore)
-        sqlite_store.close()
-        by_suffix = parse_backend(str(tmp_path / "auto.sqlite"))
-        assert isinstance(by_suffix, SQLiteStore)
-        by_suffix.close()
-        assert isinstance(parse_backend("memory"), MemoryStore)
-        assert isinstance(parse_backend("http://localhost:8123"),
-                          RemoteStore)
+        for spec in (f"sqlite:{tmp_path}/c.sqlite",
+                     str(tmp_path / "auto.sqlite"),
+                     str(tmp_path / "auto.sqlite3"),
+                     str(tmp_path / "auto.db")):
+            built = parse_backend(spec)
+            assert isinstance(built, SQLiteStore)
+            built.close()
+        memory = parse_backend("memory")
+        assert memory.path == ":memory:"
+        memory.close()
 
     @pytest.mark.parametrize("bad", [
         "", "   ", "sqlite:", "dir:", "ftp://somewhere:21", "bogus:thing",
-        "http://",
+        "http://", "dir:.repro_cache", "http://localhost:8123",
+        "dir:cache.sqlite", "http://host/cache.db", "./local_cache",
     ])
     def test_malformed_specs_raise_backend_error(self, bad):
-        with pytest.raises(CacheBackendError):
+        with pytest.raises(CacheBackendError, match="sqlite:PATH"):
             parse_backend(bad)
 
-    def test_relative_paths_are_not_mistaken_for_schemes(self, tmp_path):
-        assert isinstance(parse_backend(f"{tmp_path}/x/y"), DirStore)
-        assert isinstance(parse_backend("./local_cache"), DirStore)
+    def test_relative_paths_are_not_mistaken_for_schemes(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for spec in ("local.sqlite", "./x/y.db", f"{tmp_path}/x/y.sqlite3"):
+            built = parse_backend(spec)
+            assert isinstance(built, SQLiteStore)
+            built.close()
+        assert (tmp_path / "local.sqlite").exists()
+        assert (tmp_path / "x" / "y.db").exists()

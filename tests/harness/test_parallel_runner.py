@@ -4,7 +4,8 @@ Covers the cache lifecycle (hit / miss / invalidation / corruption /
 resume-after-kill), the worker-pool failure handling (retry-once,
 per-shard timeouts, exhausted retries), the stability of the cache key
 across interpreter runs, and the CLI plumbing that threads
-``--jobs/--cache-dir/--no-cache/--resume`` through the harness.
+``--jobs/--cache-dir/--no-cache/--resume`` through the harness,
+including the default ``.repro_cache/results.sqlite`` cache.
 """
 
 import json
@@ -17,6 +18,7 @@ import pytest
 
 from repro.common.config import ConsistencyModel, RecorderConfig, RecorderMode
 from repro.harness import ExperimentRunner
+from repro.harness.cachestore import CacheBackendError
 from repro.harness.parallel_runner import (
     CODE_SALT,
     ParallelRunner,
@@ -38,6 +40,18 @@ TINY_VARIANTS = {"opt_4k": RecorderConfig(mode=RecorderMode.OPT,
 def tiny_key(workload="fft", cores=2, scale=0.05, seed=1,
              consistency=RC, with_baselines=False):
     return RunKey(workload, cores, scale, seed, consistency, with_baselines)
+
+
+def read_entry(cache, key) -> bytes | None:
+    """The raw stored envelope of ``key`` (TINY_VARIANTS), via the store."""
+    return cache.store.get(cache_key(key, TINY_VARIANTS))
+
+
+def rewrite_entry(cache, key, data: bytes) -> None:
+    """Replace the stored envelope of ``key`` (TINY_VARIANTS) with ``data``."""
+    address = cache_key(key, TINY_VARIANTS)
+    cache.store.delete(address)
+    cache.store.put(address, data)
 
 
 # Worker fakes must live at module level so the process pool can pickle
@@ -160,31 +174,29 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "cache")
         key = tiny_key()
         cache.put(key, execute_run(key, TINY_VARIANTS), TINY_VARIANTS)
-        path = cache.path_for(key, TINY_VARIANTS)
-        path.write_text("{ not json")
+        rewrite_entry(cache, key, b"{ not json")
         with pytest.warns(UserWarning, match="corrupt result-cache entry"):
             assert cache.get(key, TINY_VARIANTS) is None
         assert cache.corrupt == 1
         # Satellite fix: the quarantine is attributed to its reason, so
-        # telemetry can tell a truncated file from a digest collision.
+        # telemetry can tell a truncated entry from a digest collision.
         assert cache.counters()["corrupt.decode"] == 1
         assert cache.counters()["corrupt"] == 1
-        assert path.with_suffix(".corrupt").exists()
-        assert not path.exists()
+        # The corrupt entry is out of the store, never served again.
+        assert read_entry(cache, key) is None
         # The sweep recomputes and repopulates transparently.
         runner = ParallelRunner(jobs=1, cache=cache, variants=TINY_VARIANTS)
         runner.run([key])
         assert runner.executed == 1
-        assert path.exists()
+        assert read_entry(cache, key) is not None
 
     def test_envelope_key_mismatch_is_treated_as_corruption(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         key = tiny_key()
         cache.put(key, execute_run(key, TINY_VARIANTS), TINY_VARIANTS)
-        path = cache.path_for(key, TINY_VARIANTS)
-        envelope = json.loads(path.read_text())
+        envelope = json.loads(read_entry(cache, key))
         envelope["key"]["seed"] = 99
-        path.write_text(json.dumps(envelope))
+        rewrite_entry(cache, key, json.dumps(envelope).encode())
         with pytest.warns(UserWarning, match="does not match"):
             assert cache.get(key, TINY_VARIANTS) is None
         assert cache.counters()["corrupt.key_mismatch"] == 1
@@ -202,24 +214,18 @@ class TestResultCache:
         assert cache.get(key, TINY_VARIANTS).to_dict() == result.to_dict()
         cache.close()
 
-    def test_gc_drops_only_foreign_generations(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        key = tiny_key()
-        cache.put(key, execute_run(key, TINY_VARIANTS), TINY_VARIANTS)
-        cache.store.put("deadbeef", b"{}", generation="older-code")
-        assert len(cache) == 2
-        assert cache.gc() == 1
-        assert len(cache) == 1
-        assert cache.get(key, TINY_VARIANTS) is not None
+    def test_from_spec_rejects_retired_backends(self, tmp_path):
+        for spec in (f"dir:{tmp_path}/cache", "http://localhost:8123"):
+            with pytest.raises(CacheBackendError, match="sqlite:PATH"):
+                ResultCache.from_spec(spec)
 
     def test_stale_cache_format_is_not_readable(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         key = tiny_key()
         cache.put(key, execute_run(key, TINY_VARIANTS), TINY_VARIANTS)
-        path = cache.path_for(key, TINY_VARIANTS)
-        envelope = json.loads(path.read_text())
+        envelope = json.loads(read_entry(cache, key))
         envelope["cache_format"] = -1
-        path.write_text(json.dumps(envelope))
+        rewrite_entry(cache, key, json.dumps(envelope).encode())
         with pytest.warns(UserWarning, match="cache format"):
             assert cache.get(key, TINY_VARIANTS) is None
 
@@ -250,7 +256,7 @@ class TestParallelRunner:
                        variants=TINY_VARIANTS).run(self.KEYS[:2])
         assert len(cache) == 2
         # The rerun over the full grid executes only the missing shards.
-        rerun = ParallelRunner(jobs=2, cache=ResultCache(cache.root),
+        rerun = ParallelRunner(jobs=2, cache=ResultCache(tmp_path / "cache"),
                                variants=TINY_VARIANTS)
         results = rerun.run(self.KEYS)
         assert rerun.executed == 2
@@ -351,7 +357,7 @@ class TestSweepTelemetry:
         cache = ResultCache(tmp_path / "cache")
         warm = ParallelRunner(jobs=1, cache=cache, variants=TINY_VARIANTS)
         warm.run(self.KEYS)
-        rerun = ParallelRunner(jobs=1, cache=ResultCache(cache.root),
+        rerun = ParallelRunner(jobs=1, cache=ResultCache(tmp_path / "cache"),
                                variants=TINY_VARIANTS)
         rerun.run(self.KEYS)
         assert rerun.executed == 0
@@ -402,10 +408,8 @@ class TestSweepTelemetry:
                                 variants=TINY_VARIANTS,
                                 telemetry=TelemetryConfig(capture_trace=True))
         traced.run([key])
-        plain_entry = json.loads(
-            plain_cache.path_for(key, TINY_VARIANTS).read_text())
-        traced_entry = json.loads(
-            traced_cache.path_for(key, TINY_VARIANTS).read_text())
+        plain_entry = json.loads(read_entry(plain_cache, key))
+        traced_entry = json.loads(read_entry(traced_cache, key))
         assert plain_entry["result"] == traced_entry["result"]
         # The trace itself arrived through the side channel.
         label = key.label()
@@ -479,6 +483,26 @@ class TestHarnessCli:
         assert "event=sweep.ready" in captured.err
         assert "recorded=0" in captured.err
         assert "Figure 1" in cold
+
+    def test_default_cache_is_repro_cache_results_sqlite(self, tmp_path,
+                                                         capsys,
+                                                         monkeypatch):
+        """With no cache flags, the experiments form caches in
+        ``.repro_cache/results.sqlite`` under the working directory, and a
+        rerun records nothing and prints the same tables."""
+        from repro.harness.__main__ import main
+        monkeypatch.setenv("REPRO_SCALE", "0.05")
+        monkeypatch.chdir(tmp_path)
+        argv = ["--experiments", "fig1", "--cores", "2"]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert (tmp_path / ".repro_cache" / "results.sqlite").is_file()
+        assert "recorded=0" not in cold.err
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        assert "recorded=0" in warm.err
+        assert warm.out == cold.out
+        assert "Figure 1" in cold.out
 
     def test_resume_rejects_no_cache(self, capsys):
         from repro.harness.__main__ import main

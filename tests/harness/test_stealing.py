@@ -1,11 +1,10 @@
-"""Tests for the work-stealing shard scheduler and the lease fabric hooks.
+"""Tests for the shard pool's queue dispatch (work stealing from one
+shared queue) and the static split ``sweep-bench`` measures it against.
 
-Exercises :class:`WorkStealingPool` directly: the submission-order reply
-contract under adversarial completion orders, the retry/timeout paths and
-their interplay with ``on_complete`` ordering (also through the public
-:class:`ShardPool` face), and the lease hook state machine —
-defer → re-probe → dedupe, steal on expiry, and the post-acquire probe
-that closes the publish/release race.
+Exercises :class:`ShardPool`'s multi-worker path over a thread executor
+and over a real process pool: the submission-order reply contract under
+adversarial completion orders, and the retry/timeout paths with their
+interplay with ``on_complete`` ordering.
 """
 
 import time
@@ -13,14 +12,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.harness.parallel_runner import ShardPool
-from repro.harness.stealing import (
-    FabricHooks,
-    SweepError,
-    WorkStealingPool,
-    static_partitions,
-)
-from repro.obs.telemetry import FabricTelemetry
+from repro.harness.parallel_runner import ShardPool, SweepError
+from repro.tools import static_partitions
 
 
 # Module-level workers so the real ProcessPoolExecutor can pickle them.
@@ -66,7 +59,7 @@ class TestStaticPartitions:
 class TestSubmissionOrderContract:
     def test_replies_fold_in_submission_order(self, threads):
         """Later items complete first; the reply list must not care."""
-        pool = WorkStealingPool(jobs=4, worker=_sleepy_worker)
+        pool = ShardPool(jobs=4, worker=_sleepy_worker)
         completions = []
         replies = pool.map(
             [0, 1, 2, 3],
@@ -80,7 +73,7 @@ class TestSubmissionOrderContract:
     def test_retry_preserves_submission_order_folding(self, threads):
         """A retried shard re-enters mid-sweep; replies stay in
         submission order and its reply reflects the succeeding attempt."""
-        pool = WorkStealingPool(jobs=2, worker=_sleepy_worker, retries=1)
+        pool = ShardPool(jobs=2, worker=_sleepy_worker, retries=1)
         retried, completions = [], []
         replies = pool.map(
             [0, 1, 2],
@@ -96,7 +89,7 @@ class TestSubmissionOrderContract:
         assert completions[-1] == 0           # retried shard landed last
 
     def test_exhausted_retries_raise_sweep_error(self, threads):
-        pool = WorkStealingPool(jobs=2, worker=_sleepy_worker, retries=0)
+        pool = ShardPool(jobs=2, worker=_sleepy_worker, retries=0)
         with pytest.raises(SweepError, match="shard-0.*injected fault"):
             pool.map([0, 1],
                      payload=_payload_for(fail_first=(0,)),
@@ -106,7 +99,7 @@ class TestSubmissionOrderContract:
     def test_timeout_then_retry_interplay(self, threads):
         """Satellite: a timed-out shard is retried and its late reply is
         discarded; on_complete still sees every item exactly once."""
-        pool = WorkStealingPool(jobs=2, worker=_sleepy_worker,
+        pool = ShardPool(jobs=2, worker=_sleepy_worker,
                                 timeout_s=0.25, retries=1)
         timeouts, completions = [], []
         replies = pool.map(
@@ -123,8 +116,8 @@ class TestSubmissionOrderContract:
 
 class TestShardPoolFace:
     def test_process_pool_path_keeps_the_contract(self):
-        """The public ShardPool drives the same engine over a real
-        process pool: retry + on_complete ordering must match."""
+        """The same dispatch over a real process pool: retry and
+        on_complete ordering must match."""
         pool = ShardPool(jobs=2, worker=_sleepy_worker, retries=1)
         completions = []
         replies = pool.map(
@@ -135,84 +128,3 @@ class TestShardPoolFace:
         assert replies[0]["attempt"] == 1
         assert completions[-1] == 0
 
-
-# ------------------------------------------------------------ lease hooks
-
-class TestLeaseHooks:
-    def _run(self, hooks, items=(0,), jobs=1, executor=None, poll_s=0.01,
-             worker=None):
-        stats = FabricTelemetry()
-        pool = WorkStealingPool(jobs=jobs, worker=worker or _sleepy_worker,
-                                hooks=hooks, stats=stats, poll_s=poll_s)
-        replies = pool.map(list(items), payload=_payload_for(),
-                          executor=executor)
-        return replies, stats
-
-    def test_deferred_cell_dedupes_from_peer_publish(self, threads):
-        """A cell leased by a peer is deferred, then folded straight from
-        the peer's published result — never executed locally."""
-        probes = iter([None, {"item": 0, "from": "peer"}])
-
-        class Info:
-            acquired, owner, deadline, stolen = (False, "peer",
-                                                 time.time() + 30.0, False)
-        hooks = FabricHooks(
-            probe=lambda item: next(probes),
-            acquire=lambda item: Info(),
-            release=lambda item: None)
-        replies, stats = self._run(hooks, executor=threads)
-        assert replies == [{"item": 0, "from": "peer"}]
-        assert stats.counters["lease_deferred"] == 1
-        assert stats.counters["dedup_hits"] == 1
-        assert "dispatched" not in stats.counters
-
-    def test_expired_lease_is_stolen_and_run_locally(self, threads):
-        class Busy:
-            acquired, owner, stolen = False, "peer", False
-            deadline = time.time() + 0.05
-
-        class Stolen:
-            acquired, owner, stolen = True, "me", True
-            deadline = time.time() + 30.0
-        attempts = iter([Busy(), Stolen()])
-        hooks = FabricHooks(probe=lambda item: None,
-                            acquire=lambda item: next(attempts),
-                            release=lambda item: None)
-        replies, stats = self._run(hooks, executor=threads)
-        assert replies[0]["item"] == 0
-        assert stats.counters["lease_stolen"] == 1
-        assert stats.counters["dispatched"] == 1
-
-    def test_post_acquire_probe_closes_publish_release_race(self, threads):
-        """Regression: a peer that published *and released* before our
-        first visit leaves no lease to defer on — the probe under our
-        fresh lease must still find its result (publish happens before
-        release, so acquire-after-release implies the blob is visible)."""
-        class Fresh:
-            acquired, owner, stolen = True, "me", False
-            deadline = time.time() + 30.0
-        released = []
-        hooks = FabricHooks(
-            probe=lambda item: {"item": 0, "from": "peer"},
-            acquire=lambda item: Fresh(),
-            release=lambda item: released.append(item))
-        replies, stats = self._run(hooks, executor=threads)
-        assert replies == [{"item": 0, "from": "peer"}]
-        assert stats.counters["dedup_hits"] == 1
-        assert "dispatched" not in stats.counters
-        assert released == [0]     # the dedup path still drops our lease
-
-    def test_lease_released_after_local_run(self, threads):
-        class Fresh:
-            acquired, owner, stolen = True, "me", False
-            deadline = time.time() + 30.0
-        released = []
-        hooks = FabricHooks(probe=lambda item: None,
-                            acquire=lambda item: Fresh(),
-                            release=lambda item: released.append(item))
-        replies, stats = self._run(hooks, items=(0, 1), jobs=2,
-                                   executor=threads)
-        assert [reply["item"] for reply in replies] == [0, 1]
-        assert sorted(released) == [0, 1]
-        assert stats.counters["lease_released"] == 2
-        assert stats.counters["lease_acquired"] == 2

@@ -1,23 +1,21 @@
-"""End-to-end invariants of the distributed sweep fabric.
+"""End-to-end invariants of the sweep fabric (result cache + shard pool).
 
-The tentpole guarantee: the fabric is *observationally invisible*.  A
-sweep's serialized results must be byte-identical no matter which
-scheduler runs the shards (serial / static pool / work stealing), which
-backend stores the cache (directory / SQLite / HTTP daemon), or whether
-the cache was cold or warmed by a peer.  Also covers the two-runner
-exactly-once lease dedupe and the CLI exit-code-2 contract for malformed
-backend specs.
+The guarantee: the fabric is *observationally invisible*.  A sweep's
+serialized results must be byte-identical no matter how wide the shard
+pool is, whether the cache is a SQLite file or in memory, and whether it
+was cold or warm.  Also covers the CLI exit-code-2 contract for a cache
+file that cannot be used, in every sweep form.
 """
 
-import threading
+import json
 
 import pytest
 
 from repro.common.config import ConsistencyModel, RecorderConfig, RecorderMode
-from repro.harness.cached import CacheDaemon
-from repro.harness.cachestore import MemoryStore, SQLiteStore
+from repro.harness.cachestore import SQLiteStore
 from repro.harness.parallel_runner import ParallelRunner, ResultCache
 from repro.harness.runner import RunKey
+from repro.sim.serialize import run_result_to_dict
 
 RC = ConsistencyModel.RC
 TINY_VARIANTS = {"opt_4k": RecorderConfig(mode=RecorderMode.OPT,
@@ -26,61 +24,51 @@ GRID = [RunKey("fft", 2, 0.05, 1, RC, False),
         RunKey("radix", 2, 0.05, 1, RC, False)]
 
 
-def _sweep_argv(tmp_path, tag, *, jobs="1", scheduler="static",
-                backend=None):
-    argv = ["sweep", "--workloads", "fft,radix", "--cores", "2",
-            "--consistency", "RC", "--scale", "0.05",
-            "--jobs", jobs, "--scheduler", scheduler,
+def _sweep_argv(tmp_path, tag, *, jobs, cache):
+    return ["sweep", "--workloads", "fft,radix", "--cores", "2",
+            "--consistency", "RC", "--scale", "0.05", "--jobs", jobs,
+            "--cache-dir", str(tmp_path / cache),
             "--results-out", str(tmp_path / f"{tag}.json")]
-    if backend is None:
-        argv += ["--cache-dir", str(tmp_path / f"cache_{tag}")]
-    else:
-        argv += ["--cache-backend", backend]
-    return argv
+
+
+def _bad_cache_dir(tmp_path):
+    """A cache directory whose results.sqlite is not a database."""
+    cache_dir = tmp_path / "damaged"
+    cache_dir.mkdir()
+    (cache_dir / "results.sqlite").write_bytes(b"not a database " * 200)
+    return str(cache_dir)
 
 
 class TestByteIdentity:
     def test_results_identical_across_schedulers_and_backends(self, tmp_path,
                                                               capsys):
-        """One grid, five ways — every serialized result file must be
-        byte-for-byte identical."""
+        """One grid: serial and pooled, each cold then warm on one SQLite
+        cache, plus a pooled sweep over a memory cache — every result
+        must be byte-for-byte identical."""
         from repro.tools import main
-        daemon = CacheDaemon(MemoryStore()).start()
-        try:
-            matrix = [
-                ("serial_dir", dict()),
-                ("static_dir", dict(jobs="2")),
-                ("steal_dir", dict(jobs="2", scheduler="stealing")),
-                ("steal_sqlite", dict(
-                    jobs="2", scheduler="stealing",
-                    backend=f"sqlite:{tmp_path}/fabric.sqlite")),
-                ("steal_http_cold", dict(jobs="2", scheduler="stealing",
-                                         backend=daemon.url)),
-                # Rerun against the warm daemon: all cells fold from the
-                # shared cache, none execute.
-                ("steal_http_warm", dict(jobs="2", scheduler="stealing",
-                                         backend=daemon.url)),
-            ]
-            for tag, kwargs in matrix:
-                assert main(_sweep_argv(tmp_path, tag, **kwargs)) == 0
-                capsys.readouterr()
-        finally:
-            daemon.stop()
-        reference = (tmp_path / "serial_dir.json").read_bytes()
+        matrix = [("serial_cold", "1", "c1"), ("serial_warm", "1", "c1"),
+                  ("pool_cold", "2", "c2"), ("pool_warm", "2", "c2")]
+        for tag, jobs, cache in matrix:
+            assert main(_sweep_argv(tmp_path, tag, jobs=jobs,
+                                    cache=cache)) == 0
+            capsys.readouterr()
+        reference = (tmp_path / "serial_cold.json").read_bytes()
         assert reference   # non-empty
-        for tag, _ in matrix[1:]:
+        for tag, _, _ in matrix[1:]:
             produced = (tmp_path / f"{tag}.json").read_bytes()
             assert produced == reference, f"{tag} diverged from serial run"
+        memory = ParallelRunner(jobs=2, cache=ResultCache.from_spec("memory"))
+        results = memory.run(GRID)
+        assert json.loads(reference) == {
+            key.label(): run_result_to_dict(results[key]) for key in GRID}
 
     def test_warm_rerun_executes_nothing(self, tmp_path):
         store = SQLiteStore(tmp_path / "c.sqlite")
-        cold = ParallelRunner(jobs=2, scheduler="stealing",
-                              cache=ResultCache(store=store),
+        cold = ParallelRunner(jobs=2, cache=ResultCache(store=store),
                               variants=TINY_VARIANTS)
         cold_results = cold.run(GRID)
         assert cold.executed == len(GRID)
-        warm = ParallelRunner(jobs=2, scheduler="stealing",
-                              cache=ResultCache(store=store),
+        warm = ParallelRunner(jobs=2, cache=ResultCache(store=store),
                               variants=TINY_VARIANTS)
         warm_results = warm.run(GRID)
         assert warm.executed == 0
@@ -89,86 +77,37 @@ class TestByteIdentity:
         store.close()
 
 
-class TestTwoRunnerDedupe:
-    def test_cooperating_runners_execute_each_cell_exactly_once(self):
-        """Two concurrent stealing runners over one shared store: the
-        lease fabric must make the union of their executions cover the
-        grid exactly once (leases defer, publish-before-release plus the
-        post-acquire probe close every handoff race)."""
-        store = MemoryStore()
-        grid = GRID + [RunKey("lu", 2, 0.05, 1, RC, False),
-                       RunKey("fft", 2, 0.05, 2, RC, False)]
-        runners = [ParallelRunner(jobs=2, scheduler="stealing",
-                                  cache=ResultCache(store=store),
-                                  variants=TINY_VARIANTS,
-                                  lease_ttl_s=60.0, poll_s=0.01)
-                   for _ in range(2)]
-        results = [None, None]
-
-        def drive(rank):
-            results[rank] = runners[rank].run(grid)
-
-        threads = [threading.Thread(target=drive, args=(rank,))
-                   for rank in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=300)
-        assert results[0] is not None and results[1] is not None
-        executed = runners[0].executed + runners[1].executed
-        assert executed == len(grid), \
-            f"{executed} executions for {len(grid)} cells"
-        for key in grid:
-            assert (results[0][key].to_dict()
-                    == results[1][key].to_dict())
-        # Every runner's outcomes cover the grid through some mix of
-        # local runs, precheck cache hits and fabric dedups.
-        for runner in runners:
-            assert len(runner.outcomes) == len(grid)
-            assert {o.source for o in runner.outcomes} <= \
-                {"run", "cache", "fabric"}
-
-
 class TestCliBackendErrors:
-    def test_tools_sweep_rejects_malformed_backend(self, capsys):
+    """A damaged cache file is a usage error (exit 2, one ``error:``
+    line), never a traceback with the divergence exit code 1."""
+
+    def test_tools_sweep_rejects_malformed_backend(self, tmp_path, capsys):
         from repro.tools import main
         code = main(["sweep", "--workloads", "fft", "--cores", "2",
-                     "--scale", "0.05", "--cache-backend", "bogus:thing"])
+                     "--scale", "0.05", "--cache-dir",
+                     _bad_cache_dir(tmp_path)])
         assert code == 2
-        assert "unknown cache backend scheme" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "cannot open result cache" in err
 
-    def test_tools_sweep_rejects_conflicting_backend_flags(self, capsys):
-        from repro.tools import main
-        code = main(["sweep", "--workloads", "fft", "--cores", "2",
-                     "--scale", "0.05", "--cache-backend", "memory",
-                     "--cache-url", "http://localhost:1"])
-        assert code == 2
-
-    def test_tools_sweep_rejects_backend_with_no_cache(self, capsys):
-        from repro.tools import main
-        code = main(["sweep", "--workloads", "fft", "--cores", "2",
-                     "--scale", "0.05", "--no-cache",
-                     "--cache-backend", "memory"])
-        assert code == 2
-
-    def test_harness_run_rejects_malformed_backend(self, capsys):
+    def test_harness_run_rejects_malformed_backend(self, tmp_path, capsys):
         from repro.harness.__main__ import main
         with pytest.raises(SystemExit) as caught:
             main(["run", "--workload", "fft,radix", "--cores", "2",
-                  "--scale", "0.05", "--cache-backend", "ftp://nope:1"])
+                  "--scale", "0.05", "--cache-dir", _bad_cache_dir(tmp_path)])
         assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "cannot open result cache" in err
 
-    def test_harness_experiments_reject_malformed_backend(self, capsys):
+    def test_harness_experiments_reject_malformed_backend(self, tmp_path,
+                                                          capsys):
         from repro.harness.__main__ import main
         with pytest.raises(SystemExit) as caught:
             main(["--experiments", "fig1", "--cores", "2",
-                  "--cache-backend", "bogus:thing"])
+                  "--cache-dir", _bad_cache_dir(tmp_path)])
         assert caught.value.code == 2
-
-    def test_harness_rejects_conflicting_backend_flags(self, capsys):
-        from repro.harness.__main__ import main
-        with pytest.raises(SystemExit) as caught:
-            main(["run", "--workload", "fft", "--cores", "2",
-                  "--scale", "0.05", "--cache-backend", "memory",
-                  "--cache-url", "http://localhost:1"])
-        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "cannot open result cache" in err

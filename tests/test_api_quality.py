@@ -46,10 +46,9 @@ MODULES = [
     "repro.workloads.random_programs", "repro.workloads.scientific",
     "repro.sim", "repro.sim.compiled", "repro.sim.kernel",
     "repro.sim.machine", "repro.sim.serialize",
-    "repro.harness", "repro.harness.cached", "repro.harness.cachestore",
+    "repro.harness", "repro.harness.cachestore",
     "repro.harness.figures", "repro.harness.parallel_runner",
     "repro.harness.report", "repro.harness.runner",
-    "repro.harness.stealing",
     "repro.storage", "repro.tools",
 ]
 
