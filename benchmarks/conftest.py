@@ -3,7 +3,7 @@
 The heavy work (recording each workload once with every recorder variant)
 is cached in a session-scoped :class:`~repro.harness.runner.ExperimentRunner`
 so the per-figure benchmarks share executions.  Work scale defaults to 0.5
-here (the CLI ``python -m repro.harness`` uses 1.0); override with
+here (``python -m repro.tools figures`` uses 1.0); override with
 ``REPRO_SCALE``.
 
 Figure tables print through ``capsys.disabled`` so they land in the

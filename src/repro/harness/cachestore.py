@@ -43,7 +43,7 @@ _BUSY_TIMEOUT_S = 30.0
 class CacheBackendError(ConfigError):
     """A cache backend spec is malformed or the cache file cannot be used.
 
-    Subclasses :class:`~repro.common.errors.ConfigError` so the CLIs map
+    Subclasses :class:`~repro.common.errors.ConfigError` so the CLI maps
     it to the usage exit code (2).
     """
 
@@ -111,8 +111,8 @@ def parse_backend(spec: str) -> SQLiteStore:
         sqlite:results.sqlite    results.sqlite    memory
 
     Anything else — ``dir:`` and ``http://`` specs included — raises
-    :class:`CacheBackendError` listing :data:`BACKEND_SPECS` (the CLIs
-    map it to exit code 2).
+    :class:`CacheBackendError` listing :data:`BACKEND_SPECS` (the CLI
+    maps it to exit code 2).
     """
     spec = spec.strip()
     scheme = _SCHEME.match(spec)

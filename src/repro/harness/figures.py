@@ -28,8 +28,32 @@ __all__ = [
     "baseline_log_comparison",
     "recording_overhead",
     "metrics_snapshot_table",
+    "litmus_matrix",
     "required_runs",
+    "EXPERIMENTS",
 ]
+
+#: Every experiment ``repro.tools figures`` regenerates, by name, as a
+#: function of the runner and the core count.  Each result renders with
+#: the renderer of the same name in :data:`repro.harness.report.RENDERERS`.
+EXPERIMENTS = {
+    "table1": lambda runner, cores: table1_parameters(),
+    "fig1": lambda runner, cores: fig1_ooo_fractions(runner, cores=cores),
+    "fig9": lambda runner, cores: fig9_reordered_fractions(runner,
+                                                           cores=cores),
+    "fig10": lambda runner, cores: fig10_inorder_blocks(runner, cores=cores),
+    "fig11": lambda runner, cores: fig11_log_sizes(runner, cores=cores),
+    "fig12": lambda runner, cores: fig12_traq_utilization(runner,
+                                                          cores=cores),
+    "fig13": lambda runner, cores: fig13_replay_times(runner, cores=cores),
+    "fig14": lambda runner, cores: fig14_scalability(runner),
+    "baselines": lambda runner, cores: baseline_log_comparison(runner,
+                                                               cores=cores),
+    "overhead": lambda runner, cores: recording_overhead(runner, cores=cores),
+    "litmus": lambda runner, cores: litmus_matrix(),
+    "metrics": lambda runner, cores: metrics_snapshot_table(runner,
+                                                            cores=cores),
+}
 
 #: Experiments whose inputs are the default workload grid at one core count.
 _SINGLE_GRID_EXPERIMENTS = frozenset({
@@ -73,6 +97,23 @@ def required_runs(experiments, runner: ExperimentRunner, *,
                                     consistency=ConsistencyModel.TSO,
                                     with_baselines=True))
     return keys
+
+
+def litmus_matrix() -> dict:
+    """Observed outcomes and model violations of every litmus test under
+    every consistency model (the ``litmus`` experiment)."""
+    from ..workloads.litmus import LITMUS_TESTS, run_litmus
+
+    out = {}
+    for name, test in LITMUS_TESTS.items():
+        out[name] = {}
+        for model in ConsistencyModel:
+            result = run_litmus(test, model)
+            out[name][model.value] = {
+                "observed": sorted(result.observed),
+                "violations": sorted(result.violations),
+            }
+    return out
 
 
 def _average(values) -> float:

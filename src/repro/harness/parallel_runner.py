@@ -41,9 +41,7 @@ production path for those sweeps:
 
 Because every completed shard lands in the cache immediately, an
 interrupted sweep is resumable: a rerun skips the cached shards and only
-executes what is missing.  :func:`add_sweep_flags` and :func:`open_cache`
-give both CLIs the one set of sweep flags that selects the pool width and
-the cache.
+executes what is missing.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ _LOG = get_logger("harness.sweep")
 
 __all__ = ["CACHE_FORMAT", "DEFAULT_CACHE_DIR", "CACHE_FILE", "SweepError",
            "cache_key", "ResultCache", "ShardOutcome", "ShardPool",
-           "ParallelRunner", "add_sweep_flags", "open_cache"]
+           "ParallelRunner"]
 
 #: Bumped when the cache envelope layout changes.
 CACHE_FORMAT = 1
@@ -134,7 +132,7 @@ class ResultCache:
 
         Any other spec raises
         :class:`~repro.harness.cachestore.CacheBackendError`, which the
-        CLIs map to the usage exit code (2).
+        CLI maps to the usage exit code (2).
         """
         return cls(store=parse_backend(spec))
 
@@ -617,35 +615,3 @@ class ParallelRunner:
             self.progress(line)
         else:
             _LOG.info(line)
-
-
-# ------------------------------------------------------------- sweep flags
-
-def add_sweep_flags(parser, *, jobs: int | None) -> None:
-    """Add ``--jobs``, ``--cache-dir``, ``--no-cache`` and ``--resume`` —
-    the sweep flags every sweep command shares — to an argparse parser.
-
-    ``jobs`` is the command's ``--jobs`` default (``None``: CPU count).
-    ``--resume`` and ``--no-cache`` exclude each other.
-    """
-    parser.add_argument("--jobs", type=int, default=jobs,
-                        help="worker processes for the recording sweep "
-                             + ("(default: CPU count)" if jobs is None
-                                else f"(default {jobs})"))
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help="result cache directory; results live in "
-                             f"DIR/{CACHE_FILE} (default {DEFAULT_CACHE_DIR})")
-    use = parser.add_mutually_exclusive_group()
-    use.add_argument("--no-cache", action="store_true",
-                     help="do not read or write the result cache")
-    use.add_argument("--resume", action="store_true",
-                     help="resume an interrupted sweep from the cached "
-                          "shards (cache reads are on by default; this "
-                          "makes the intent explicit)")
-
-
-def open_cache(args) -> ResultCache | None:
-    """The result cache :func:`add_sweep_flags` selected (None under
-    ``--no-cache``).  An unusable cache file raises
-    :class:`~repro.harness.cachestore.CacheBackendError`."""
-    return None if args.no_cache else ResultCache(args.cache_dir)

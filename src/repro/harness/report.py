@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .runner import VARIANT_ORDER
 
-__all__ = ["format_table", "render_all", "render_sweep_summary"]
+__all__ = ["RENDERERS", "format_table", "render_all", "render_sweep_summary"]
 
 
 def format_table(title: str, headers: list[str], rows: list[list],
@@ -199,22 +199,26 @@ def render_sweep_summary(snapshot) -> str:
                         ["quantity", "value"], rows, floatfmt="{:.2f}")
 
 
+#: The renderer of each experiment :data:`repro.harness.figures.EXPERIMENTS`
+#: computes, by the same name.
+RENDERERS = {
+    "table1": render_table1,
+    "fig1": render_fig1,
+    "fig9": render_fig9,
+    "fig10": render_fig10,
+    "fig11": render_fig11,
+    "fig12": render_fig12,
+    "fig13": render_fig13,
+    "fig14": render_fig14,
+    "baselines": render_baselines,
+    "overhead": render_overhead,
+    "litmus": render_litmus,
+    "metrics": render_metrics,
+}
+
+
 def render_all(results: dict) -> str:
     """Render every computed experiment present in ``results``."""
-    renderers = {
-        "table1": render_table1,
-        "fig1": render_fig1,
-        "fig9": render_fig9,
-        "fig10": render_fig10,
-        "fig11": render_fig11,
-        "fig12": render_fig12,
-        "fig13": render_fig13,
-        "fig14": render_fig14,
-        "baselines": render_baselines,
-        "overhead": render_overhead,
-        "litmus": render_litmus,
-        "metrics": render_metrics,
-    }
-    parts = [renderers[key](value) for key, value in results.items()
-             if key in renderers]
+    parts = [RENDERERS[key](value) for key, value in results.items()
+             if key in RENDERERS]
     return "\n".join(parts)

@@ -26,7 +26,7 @@ Sweep-scale additions (see ``docs/internals.md``):
 * **Perf observatory** (:mod:`.perfdb`): append-only JSONL bench history
   with rolling-baseline regression detection.
 * **Structured logging** (:mod:`.logging`): key=value log lines shared
-  by the harness and tools CLIs.
+  by the harness and the ``repro.tools`` CLI.
 * **Time-travel inspection** (:mod:`.inspect`, :mod:`.causality`): replay
   checkpoints every N chunks with restore-and-run-forward state queries
   (:class:`ReplayInspector`), and the happens-before
@@ -70,7 +70,6 @@ from .inspect import (
     StateView,
 )
 from .logging import (
-    add_log_level_argument,
     get_logger,
     kv_line,
     log_kv,
@@ -157,5 +156,4 @@ __all__ = [
     "get_logger",
     "log_kv",
     "kv_line",
-    "add_log_level_argument",
 ]

@@ -1,6 +1,6 @@
-"""Structured key=value logging shared by the repro CLIs.
+"""Structured key=value logging shared by the harness and the CLI.
 
-Every operational line the harness and the tools emit — sweep progress,
+Every operational line the harness and the CLI emit — sweep progress,
 shard completions, heartbeats, bench history appends — goes through one
 ``repro``-rooted :mod:`logging` hierarchy with a key=value line format::
 
@@ -8,20 +8,19 @@ shard completions, heartbeats, bench history appends — goes through one
 event=sweep.shard shard="fft x8 RC" source=run wall=1.2s done=3 total=8
 
 Libraries call :func:`get_logger` and emit with :func:`log_kv`; only the
-CLI entry points call :func:`setup_logging` (picking the level from a
-shared ``--log-level`` flag, see :func:`add_log_level_argument`), so
-importing repro never configures global logging state and test runs stay
-silent unless they opt in.
+CLI entry point calls :func:`setup_logging` (picking the level from its
+``--log-level`` flag, one of :data:`LOG_LEVELS`), so importing repro never
+configures global logging state and test runs stay silent unless they opt
+in.
 """
 
 from __future__ import annotations
 
-import argparse
 import logging
 import time
 
-__all__ = ["LOG_LEVELS", "ROOT_LOGGER", "add_log_level_argument",
-           "get_logger", "kv_line", "log_kv", "setup_logging"]
+__all__ = ["LOG_LEVELS", "ROOT_LOGGER", "get_logger", "kv_line", "log_kv",
+           "setup_logging"]
 
 #: Name of the root of the repro logging hierarchy.
 ROOT_LOGGER = "repro"
@@ -35,7 +34,8 @@ LOG_LEVELS = {
 }
 
 #: Marker attribute identifying handlers installed by :func:`setup_logging`
-#: so repeated setup calls (tests, nested CLIs) replace instead of stack.
+#: so repeated setup calls (tests calling ``main`` again) replace instead
+#: of stack.
 _HANDLER_MARK = "_repro_structured_handler"
 
 
@@ -107,10 +107,3 @@ def setup_logging(level: str = "info", stream=None) -> logging.Logger:
     setattr(handler, _HANDLER_MARK, True)
     logger.addHandler(handler)
     return logger
-
-
-def add_log_level_argument(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--log-level`` CLI flag (harness and tools)."""
-    parser.add_argument("--log-level", default="info",
-                        choices=sorted(LOG_LEVELS),
-                        help="structured-logging verbosity (default: info)")

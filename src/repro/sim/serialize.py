@@ -271,15 +271,60 @@ def run_result_to_dict(result: RunResult) -> dict:
     }
 
 
-def run_result_from_dict(data: dict) -> RunResult:
-    """Rebuild a :class:`RunResult` written by :func:`run_result_to_dict`."""
-    from ..storage import config_from_dict, program_from_dict
+#: The JSON types each top-level key of a serialized run result holds.
+_RUN_RESULT_KEYS = {
+    "program": (dict,),
+    "config": (dict,),
+    "cycles": (int,),
+    "cores": (list,),
+    "recordings": (dict,),
+    "final_memory": (dict,),
+    "bus_transactions": (int,),
+    "load_trace": (list, type(None)),
+    "baselines": (dict,),
+    "dependence_edges": (dict,),
+    "metrics": (dict, type(None)),
+}
 
+_JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string",
+                    int: "an integer", float: "a number", bool: "a boolean",
+                    type(None): "null"}
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPE_NAMES.get(type(value), type(value).__name__)
+
+
+def _check_run_result_keys(data) -> None:
+    """Raise :class:`LogFormatError` naming the first top-level key that is
+    missing or holds the wrong JSON type (one check per key)."""
+    if type(data) is not dict:
+        raise LogFormatError(
+            f"run result must be a JSON object, got {_json_type(data)}")
     version = data.get("serialization_version")
     if version != SERIALIZATION_VERSION:
         raise LogFormatError(
             f"unsupported run-result serialization version {version!r} "
             f"(this build reads {SERIALIZATION_VERSION})")
+    for key, types in _RUN_RESULT_KEYS.items():
+        if key not in data:
+            raise LogFormatError(f"run result is missing key {key!r}")
+        if type(data[key]) not in types:
+            expected = " or ".join(_JSON_TYPE_NAMES[kind] for kind in types)
+            raise LogFormatError(
+                f"run result key {key!r} must be {expected}, "
+                f"got {_json_type(data[key])}")
+
+
+def run_result_from_dict(data: dict) -> RunResult:
+    """Rebuild a :class:`RunResult` written by :func:`run_result_to_dict`.
+
+    A top-level key that is missing or of the wrong JSON type raises
+    :class:`LogFormatError` naming the key.
+    """
+    from ..storage import config_from_dict, program_from_dict
+
+    _check_run_result_keys(data)
     load_trace = data["load_trace"]
     return RunResult(
         program=program_from_dict(data["program"]),

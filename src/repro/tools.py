@@ -1,43 +1,13 @@
-"""Command-line tools: record, replay, inspect and sweep recordings.
+"""Record, replay and inspect executions, record sweep grids through the
+result cache, regenerate the paper's Section 5 tables, and time and fuzz
+the simulator, one command each; --help on a command lists its flags.
+Exit codes: 0 success, 1 replay divergence or a failed gate, 2 bad input
+or usage.
 
-Usage::
-
-    python -m repro.tools record --workload fft --cores 8 --out rec/
-    python -m repro.tools replay rec/ --variant opt_4k
-    python -m repro.tools inspect rec/
-    python -m repro.tools sweep --workloads fft,radix --cores 4,8 \\
-        --consistency RC,TSO --jobs 4 --cache-dir .repro_cache
-    python -m repro.tools sweep-bench --cells 64 --jobs 8 --min-speedup 3
-    python -m repro.tools bench --workloads fft --cores 16 \\
-        --out BENCH_kernel.json --min-speedup 1.5
-    python -m repro.tools profile --workload fft --cores 16
-    python -m repro.tools perf-report --history BENCH_history.jsonl
-    python -m repro.tools fuzz --budget 200 --seed 0 --jobs 2 \\
-        --emit-regressions fuzz-out/
-
-``record`` runs a named workload (or a saved ``program.json``) under the
-configured machine and saves the recording directory; ``replay``
-deterministically replays a stored variant, verifying against the stored
-execution; ``inspect`` summarizes the logs without replaying.  ``sweep``
-records a (workload x cores x consistency) grid through the parallel
-sharded runner with the persistent result cache (the SQLite file
-``DIR/results.sqlite`` for ``--cache-dir DIR``) — interrupt it and rerun
-(``--resume``) and it picks up where it left off.  ``sweep-bench``
-measures the shard pool's queue dispatch against a static pre-split on
-a straggler-skewed grid and appends the speedup to the perf-observatory
-history.  ``bench`` times the
-event-driven and lockstep simulation kernels on the same workloads,
-checks their results are bit-identical, writes the comparison to a JSON
-report and appends one record per workload to the append-only
-``BENCH_history.jsonl`` perf observatory.  ``profile`` attributes every
-simulated core-cycle of one run to busy/stall-reason buckets and the
-host wall time to kernel components (:mod:`repro.obs.profiler`).
-``perf-report`` compares the newest bench-history records against a
-rolling baseline and fails on regression — the CI perf gate.  ``fuzz``
-runs the coverage-guided adversarial fuzzer (:mod:`repro.fuzz`): mutated
-program genomes are driven toward rare recorder states and checked by
-the differential oracle stack, with failures auto-minimized into
-ready-to-commit regression entries.
+This module is the only command line (``python -m repro.tools``).  Three
+flag groups are shared by its commands: machine and workload selection
+(:func:`add_machine_flags`), the sweep pool and cache
+(:func:`add_sweep_flags`), and the output files (:func:`add_output_flags`).
 """
 
 from __future__ import annotations
@@ -46,6 +16,7 @@ import argparse
 import json
 import logging
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -63,14 +34,178 @@ from .common.errors import (
     ReplayDivergenceError,
     WorkloadError,
 )
-from .harness.parallel_runner import add_sweep_flags
-from .obs.logging import add_log_level_argument, setup_logging
+from .harness.figures import EXPERIMENTS, required_runs
+from .harness.parallel_runner import CACHE_FILE, DEFAULT_CACHE_DIR, ResultCache
+from .obs.logging import LOG_LEVELS, get_logger, log_kv, setup_logging
 from .recorder.logfmt import IntervalFrame
 from .sim import Machine
 from .sim.kernel import KERNELS
 from .storage import load_program, load_recording, save_recording
 from .workloads import WORKLOAD_NAMES, build_workload
 
+_LOG = get_logger("tools")
+
+#: The append-only perf history ``bench`` and ``sweep-bench`` extend.
+HISTORY = "BENCH_history.jsonl"
+
+#: The miss-heavy machine ``bench`` times the kernels on: a small L1 with
+#: few MSHRs in front of slow memory, so stalls dominate.
+BENCH_L1_KB = 4
+BENCH_L1_ASSOC = 2
+BENCH_MSHRS = 2
+BENCH_MEMORY_CYCLES = 400
+
+#: The straggler-skewed grid ``sweep-bench`` schedules: heavy cells
+#: clustered at the front, then light ones.
+SKEW_HEAVY_CELLS = 8
+SKEW_HEAVY_MS = 200.0
+SKEW_LIGHT_MS = 10.0
+
+
+# ------------------------------------------------------------ flag groups
+
+def add_machine_flags(parser, *, workload: str | None = "fft",
+                      cores: int = 8, scale: float | None = 0.5,
+                      seed: int = 1, lists: tuple[str, ...] = (),
+                      program: bool = False) -> None:
+    """Add the machine and workload selection flags: ``--workload``,
+    ``--cores``, ``--scale``, ``--seed`` and ``--consistency``.
+
+    ``workload`` is the default workload; None leaves out the workload
+    and consistency flags (``figures`` picks its own grid).  ``lists``
+    names the flags that take comma-separated lists: ``"workload"``
+    (spelled ``--workloads``, ``all`` for every workload), ``"cores"`` and
+    ``"consistency"``.  ``program`` adds ``--program`` as the alternative
+    to ``--workload``.  ``scale=None`` defaults to ``REPRO_SCALE``.
+    """
+    if workload is not None and "workload" in lists:
+        parser.add_argument("--workloads", default=workload,
+                            help="comma-separated workloads, or all "
+                                 f"(default: {workload})")
+    elif workload is not None:
+        choice = (parser.add_mutually_exclusive_group() if program
+                  else parser)
+        choice.add_argument("--workload", choices=WORKLOAD_NAMES,
+                            default=workload)
+        if program:
+            choice.add_argument("--program",
+                                help="record a saved program.json instead "
+                                     "of a named workload")
+    if "cores" in lists:
+        parser.add_argument("--cores", default=str(cores),
+                            help=f"comma-separated core counts "
+                                 f"(default: {cores})")
+    else:
+        parser.add_argument("--cores", type=int, default=cores)
+    parser.add_argument("--scale", type=float, default=scale,
+                        help="work scale (default: "
+                             + ("REPRO_SCALE env or 1.0)" if scale is None
+                                else f"{scale})"))
+    parser.add_argument("--seed", type=int, default=seed)
+    if workload is None:
+        return
+    models = [model.value for model in ConsistencyModel]
+    if "consistency" in lists:
+        parser.add_argument("--consistency", default="RC",
+                            help="comma-separated models out of "
+                                 + ",".join(models) + " (default: RC)")
+    else:
+        parser.add_argument("--consistency", default="RC", choices=models)
+
+
+def parse_workloads(text: str) -> list[str]:
+    """The workloads a ``--workloads`` list names (``all``: every one).
+    Unknown names raise :class:`WorkloadError` naming them."""
+    if text == "all":
+        return list(WORKLOAD_NAMES)
+    names = [name.strip() for name in text.split(",")]
+    unknown = [name for name in names if name not in WORKLOAD_NAMES]
+    if unknown:
+        raise WorkloadError(f"unknown workloads: {', '.join(unknown)}")
+    return names
+
+
+def machine_config(args, *, num_cores: int | None = None) -> MachineConfig:
+    """The machine ``--cores``, ``--seed`` and ``--consistency`` select
+    (``num_cores`` overrides ``--cores``)."""
+    return MachineConfig(
+        num_cores=args.cores if num_cores is None else num_cores,
+        seed=args.seed, consistency=ConsistencyModel(args.consistency))
+
+
+def _add_jobs(parser, default: int | None, what: str) -> None:
+    parser.add_argument("--jobs", type=int, default=default,
+                        help=f"worker processes for {what} "
+                             + ("(default: CPU count)" if default is None
+                                else f"(default {default})"))
+
+
+def add_sweep_flags(parser, *, jobs: int | None) -> None:
+    """Add ``--jobs``, ``--cache-dir`` and ``--no-cache``: the pool width
+    and the result cache of a recording sweep.  ``jobs`` is the default
+    width (None: CPU count)."""
+    _add_jobs(parser, jobs, "the recording sweep")
+    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
+                        help="result cache directory; results live in "
+                             f"DIR/{CACHE_FILE} (default {DEFAULT_CACHE_DIR})")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="do not read or write the result cache")
+
+
+def open_cache(args) -> ResultCache | None:
+    """The result cache :func:`add_sweep_flags` selected (None under
+    ``--no-cache``).  An unusable cache file raises
+    :class:`~repro.harness.cachestore.CacheBackendError`."""
+    return None if args.no_cache else ResultCache(args.cache_dir)
+
+
+def add_output_flags(parser, *, sweep: bool = False) -> None:
+    """Add the output files ``--result-out`` (``--results-out`` for a
+    sweep), ``--metrics-out`` and ``--trace-out``; a trace file turns
+    tracing on."""
+    if sweep:
+        parser.add_argument("--results-out",
+                            help="write the serialized results keyed by "
+                                 "shard label (deterministic: byte-identical "
+                                 "across job widths and cache temperature)")
+        parser.add_argument("--metrics-out",
+                            help="write the sweep metrics snapshot as JSON")
+        parser.add_argument("--trace-out",
+                            help="write the merged worker traces as JSONL")
+    else:
+        parser.add_argument("--result-out",
+                            help="write the full serialized RunResult as "
+                                 "JSON (the inspect input)")
+        parser.add_argument("--metrics-out",
+                            help="write the flat metrics snapshot as JSON")
+        parser.add_argument("--trace-out",
+                            help="write Chrome trace-event JSON of the run")
+
+
+def write_json(path, payload, label: str, **dump_args) -> None:
+    """Write ``payload`` to ``path`` as key-sorted JSON (``dump_args`` go
+    to :func:`json.dump`) and say where it went."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle, sort_keys=True, **dump_args)
+    print(f"  {label} -> {path}")
+
+
+def _add_checkpoint_every(parser) -> None:
+    parser.add_argument("--checkpoint-every", type=int, default=8,
+                        metavar="N",
+                        help="replay-checkpoint cadence in chunks "
+                             "(default 8)")
+
+
+def _add_history_flags(parser) -> None:
+    parser.add_argument("--history", default=HISTORY,
+                        help=f"append-only JSONL perf history "
+                             f"(default: {HISTORY})")
+    parser.add_argument("--no-history", action="store_true",
+                        help="do not append this run to the history")
+
+
+# --------------------------------------------------------------- commands
 
 def _build_variants(names: list[str]) -> dict[str, RecorderConfig]:
     variants = {}
@@ -84,53 +219,94 @@ def _build_variants(names: list[str]) -> dict[str, RecorderConfig]:
 
 
 def cmd_record(args) -> int:
+    if args.forensics_out or args.inject_fault:
+        args.verify_replay = True
+    if not (args.out or args.result_out or args.metrics_out
+            or args.trace_out or args.verify_replay):
+        raise ConfigError("record needs an output: --out, --result-out, "
+                          "--metrics-out, --trace-out or --verify-replay")
     if args.program:
         program = load_program(args.program)
     else:
         program = build_workload(args.workload, num_threads=args.cores,
                                  scale=args.scale, seed=args.seed)
-    config = replace(
-        MachineConfig(num_cores=program.num_threads, seed=args.seed),
-        consistency=ConsistencyModel(args.consistency),
-        protocol=CoherenceProtocol(args.protocol))
-    machine = Machine(config, _build_variants(args.variants))
+    config = replace(machine_config(args, num_cores=program.num_threads),
+                     protocol=CoherenceProtocol(args.protocol))
     tracer = None
-    if args.trace or args.trace_out:
+    if args.trace_out:
         from .obs import Tracer
         tracer = Tracer()
-    if not args.out and not args.result_out:
-        print("error: record needs --out and/or --result-out",
-              file=sys.stderr)
-        return 2
-    result = machine.run(
+    # The load trace makes --verify-replay check every loaded value, not
+    # just the final state.
+    result = Machine(config, _build_variants(args.variants)).run(
         program, collect_dependence_edges=args.edges, tracer=tracer,
-        kernel=args.kernel)
-    where = []
+        kernel=args.kernel, capture_load_trace=args.verify_replay)
+    print(f"recorded {result.total_instructions} instructions "
+          f"({result.cycles} cycles, {len(result.cores)} cores)")
     if args.out:
-        where.append(str(save_recording(result, args.out)))
+        print(f"  recording -> {save_recording(result, args.out)}")
     if args.result_out:
         from .sim.serialize import run_result_to_dict
-        with open(args.result_out, "w") as handle:
-            json.dump(run_result_to_dict(result), handle, sort_keys=True)
-        where.append(args.result_out)
-    print(f"recorded {result.total_instructions} instructions "
-          f"({result.cycles} cycles, {len(result.cores)} cores) -> "
-          + ", ".join(where))
+        write_json(args.result_out, run_result_to_dict(result), "run result")
     if args.trace_out:
         from .obs import export_chrome_trace
         export_chrome_trace(tracer.events(), args.trace_out)
         print(f"  trace ({len(tracer)} events) -> {args.trace_out}")
     if args.metrics_out:
-        with open(args.metrics_out, "w") as handle:
-            json.dump(result.metrics.to_dict(), handle, indent=1,
-                      sort_keys=True)
-        print(f"  metrics -> {args.metrics_out}")
+        write_json(args.metrics_out, result.metrics.to_dict(), "metrics",
+                   indent=1)
     for variant in args.variants:
         stats = result.recording_stats(variant)
         print(f"  {variant}: {stats.log_bits} bits "
               f"({stats.bits_per_kilo_instruction():.0f} b/KI, "
               f"{stats.reordered_total} reordered)")
+    if args.verify_replay:
+        return _verify_replay(result, args, tracer)
     return 0
+
+
+def _verify_replay(result, args, tracer) -> int:
+    """``record --verify-replay``: checkpointed replay of the first
+    variant, verified against the recording.
+
+    Writes the verdict to ``--forensics-out`` when asked: ``verified``
+    plus (on divergence) the full :class:`DivergenceReport` dict with its
+    nearest-checkpoint, causal-slice and inspect-hint fields.  Returns 1
+    on divergence.
+    """
+    from .replay.replayer import replay_recording
+
+    variant = args.variants[0]
+    if args.inject_fault:
+        # Flip the low bit of the recorded final memory at the lowest
+        # written address: replay itself stays sound, verification must
+        # then blame the chunk that last wrote that word.
+        addr = min(result.final_memory, default=0x8000)
+        result.final_memory[addr] = result.final_memory.get(addr, 0) ^ 0x1
+        log_kv(_LOG, logging.WARNING, "record.fault_injected",
+               addr=hex(addr))
+
+    payload: dict = {"workload": result.program.name, "variant": variant,
+                     "checkpoint_every": args.checkpoint_every}
+    code = 0
+    try:
+        replay = replay_recording(result, variant, tracer=tracer,
+                                  checkpoint_every=args.checkpoint_every)
+        payload.update(verified=True, report=None,
+                       intervals=replay.counts.intervals)
+        print(f"  {variant}: replay VERIFIED "
+              f"({replay.counts.intervals} intervals, "
+              f"{replay.counts.injected_loads} injected loads)")
+    except ReplayDivergenceError as error:
+        report = error.report
+        payload.update(verified=False,
+                       report=None if report is None else report.to_dict())
+        print(report.render() if report is not None else str(error),
+              file=sys.stderr)
+        code = 1
+    if args.forensics_out:
+        write_json(args.forensics_out, payload, "forensics", indent=1)
+    return code
 
 
 def cmd_replay(args) -> int:
@@ -299,37 +475,25 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .harness.parallel_runner import ParallelRunner, open_cache
+    from .harness.parallel_runner import ParallelRunner
     from .harness.report import format_table, render_sweep_summary
     from .harness.runner import RunKey
+    from .obs.telemetry import TelemetryConfig
 
-    workloads = ([name.strip() for name in args.workloads.split(",")]
-                 if args.workloads != "all" else list(WORKLOAD_NAMES))
-    unknown = [name for name in workloads if name not in WORKLOAD_NAMES]
-    if unknown:
-        print(f"error: unknown workloads: {', '.join(unknown)}",
-              file=sys.stderr)
-        return 2
+    workloads = parse_workloads(args.workloads)
     core_counts = [int(item) for item in args.cores.split(",")]
     models = [ConsistencyModel(item.strip())
               for item in args.consistency.split(",")]
-
     keys = [RunKey(workload, cores, args.scale, args.seed, model,
                    args.with_baselines)
             for workload in workloads
             for cores in core_counts
             for model in models]
-    # An unusable cache file raises CacheBackendError (a ConfigError),
-    # which main() maps to the usage exit code 2.
-    cache = open_cache(args)
-    from .obs.telemetry import TelemetryConfig
-    telemetry = TelemetryConfig(
-        capture_trace=args.capture_trace or bool(args.trace_out),
-        trace_capacity=args.trace_capacity)
     # Progress lines go through the structured repro.harness.sweep logger
     # (configured by --log-level in main), not ad-hoc stderr prints.
-    runner = ParallelRunner(jobs=args.jobs, cache=cache,
-                            timeout_s=args.timeout, telemetry=telemetry)
+    runner = ParallelRunner(
+        jobs=args.jobs, cache=open_cache(args), timeout_s=args.timeout,
+        telemetry=TelemetryConfig(capture_trace=bool(args.trace_out)))
     results = runner.run(keys)
 
     rows = []
@@ -344,36 +508,64 @@ def cmd_sweep(args) -> int:
         ["workload", "cores", "model", "cycles", "instructions",
          "opt_4k b/KI"], rows, floatfmt="{:.1f}"))
     print(render_sweep_summary(runner.registry.snapshot()))
-    if runner.aggregator.quarantined:
-        for label, reason in runner.aggregator.quarantined:
-            print(f"warning: telemetry quarantined for {label}: {reason}",
-                  file=sys.stderr)
+    for label, reason in runner.aggregator.quarantined:
+        print(f"warning: telemetry quarantined for {label}: {reason}",
+              file=sys.stderr)
     if args.results_out:
-        import json
-
         from .sim.serialize import run_result_to_dict
         # Fully deterministic artifact: serialized results keyed by shard
         # label, no wall times or counters — byte-identical no matter the
         # job width or cache temperature.
         payload = {key.label(): run_result_to_dict(results[key])
                    for key in sorted(keys, key=RunKey.label)}
-        with open(args.results_out, "w") as handle:
-            json.dump(payload, handle, sort_keys=True,
-                      separators=(",", ":"))
-        print(f"  sweep results -> {args.results_out}")
+        write_json(args.results_out, payload, "sweep results",
+                   separators=(",", ":"))
     if args.metrics_out:
-        import json
-        with open(args.metrics_out, "w") as handle:
-            json.dump(runner.registry.snapshot().to_dict(), handle,
-                      indent=1, sort_keys=True)
-        print(f"  sweep metrics -> {args.metrics_out}")
+        write_json(args.metrics_out, runner.registry.snapshot().to_dict(),
+                   "sweep metrics", indent=1)
     if args.trace_out:
-        import json
         events = runner.aggregator.trace_events()
         with open(args.trace_out, "w") as handle:
             for event in events:
                 handle.write(json.dumps(event, sort_keys=True) + "\n")
         print(f"  merged trace ({len(events)} events) -> {args.trace_out}")
+    return 0
+
+
+def cmd_figures(args) -> int:
+    from .harness.report import render_all, render_sweep_summary
+    from .harness.runner import ExperimentRunner
+
+    names = (list(EXPERIMENTS) if args.experiments == "all"
+             else [name.strip() for name in args.experiments.split(",")])
+    unknown = [name for name in names if name not in EXPERIMENTS]
+    if unknown:
+        raise ConfigError(f"unknown experiments: {', '.join(unknown)}")
+    runner = ExperimentRunner(seed=args.seed, scale=args.scale,
+                              jobs=args.jobs)
+    runner.cache = open_cache(args)
+    keys = required_runs(names, runner, cores=args.cores)
+    if keys:
+        started = time.time()
+        executed = runner.prefetch(keys)
+        log_kv(_LOG, logging.INFO, "sweep.ready", shards=len(keys),
+               wall_s=time.time() - started, recorded=executed,
+               cached=len(keys) - executed)
+        snapshot = runner.sweep_metrics()
+        if snapshot is not None:
+            print(render_sweep_summary(snapshot), file=sys.stderr)
+
+    results = {}
+    for name in names:
+        started = time.time()
+        results[name] = EXPERIMENTS[name](runner, args.cores)
+        log_kv(_LOG, logging.INFO, "experiment.computed", experiment=name,
+               wall_s=time.time() - started)
+
+    text = render_all(results)
+    print(text)
+    if args.out:
+        Path(args.out).write_text(text)
     return 0
 
 
@@ -384,7 +576,6 @@ def _bench_cell_worker(payload: dict) -> dict:
     cell's nominal cost makes the straggler skew exact and the run fast
     enough for CI.
     """
-    import time
     time.sleep(payload["sleep_s"])
     return {"index": payload["index"], "attempt": payload["attempt"]}
 
@@ -396,7 +587,6 @@ def _bench_partition_worker(payload: dict) -> dict:
     slice of the grid up front and must finish all of it, so a
     straggler-heavy slice idles every other worker.
     """
-    import time
     for sleep_s in payload["sleeps"]:
         time.sleep(sleep_s)
     return {"cells": len(payload["sleeps"])}
@@ -417,7 +607,6 @@ def static_partitions(count: int, jobs: int) -> list[list[int]]:
 
 
 def cmd_sweep_bench(args) -> int:
-    import time
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures import wait as futures_wait
 
@@ -426,12 +615,12 @@ def cmd_sweep_bench(args) -> int:
 
     jobs = max(2, args.jobs)
     cells = max(jobs, args.cells)
-    heavy = min(max(1, args.heavy), cells)
+    heavy = min(SKEW_HEAVY_CELLS, cells)
     # Heavy cells clustered at the front — the worst case for a
     # contiguous pre-partition and the common shape of a grid sorted by
     # workload size.
-    sleeps = ([args.heavy_ms / 1000.0] * heavy
-              + [args.light_ms / 1000.0] * (cells - heavy))
+    sleeps = ([SKEW_HEAVY_MS / 1000.0] * heavy
+              + [SKEW_LIGHT_MS / 1000.0] * (cells - heavy))
 
     pool = ProcessPoolExecutor(max_workers=jobs)
     # Warm every worker process up front so spawn cost hits neither arm.
@@ -458,8 +647,8 @@ def cmd_sweep_bench(args) -> int:
     pool.shutdown()
     speedup = static_s / deque_s if deque_s > 0 else float("inf")
 
-    config = {"cells": cells, "heavy": heavy, "heavy_ms": args.heavy_ms,
-              "light_ms": args.light_ms, "jobs": jobs}
+    config = {"cells": cells, "heavy": heavy, "heavy_ms": SKEW_HEAVY_MS,
+              "light_ms": SKEW_LIGHT_MS, "jobs": jobs}
     report = {"config": config,
               "skew": {"static_s": round(static_s, 4),
                        "deque_s": round(deque_s, 4),
@@ -471,9 +660,7 @@ def cmd_sweep_bench(args) -> int:
     print(f"  queue dispatch {deque_s:8.3f}s   ({speedup:.2f}x)")
 
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=1, sort_keys=True)
-        print(f"  report -> {args.out}")
+        write_json(args.out, report, "report", indent=1)
     if not args.no_history:
         from .obs.perfdb import (PERFDB_SCHEMA, PerfRecord, append_records,
                                  git_revision)
@@ -499,32 +686,22 @@ def cmd_sweep_bench(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    import json
-    import time
-
     from .sim.serialize import run_result_to_dict
 
-    workloads = [name.strip() for name in args.workloads.split(",")]
-    unknown = [name for name in workloads if name not in WORKLOAD_NAMES]
-    if unknown:
-        print(f"error: unknown workloads: {', '.join(unknown)}",
-              file=sys.stderr)
-        return 2
-
-    base = MachineConfig(num_cores=args.cores, seed=args.seed)
+    workloads = parse_workloads(args.workloads)
+    base = machine_config(args)
     config = replace(
         base,
-        consistency=ConsistencyModel(args.consistency),
-        l1=replace(base.l1, size_kb=args.l1_kb, assoc=args.l1_assoc,
-                   mshr_entries=args.mshr),
-        memory=replace(base.memory, roundtrip_cycles=args.mem_cycles))
+        l1=replace(base.l1, size_kb=BENCH_L1_KB, assoc=BENCH_L1_ASSOC,
+                   mshr_entries=BENCH_MSHRS),
+        memory=replace(base.memory, roundtrip_cycles=BENCH_MEMORY_CYCLES))
 
     report = {
         "config": {
             "cores": args.cores, "scale": args.scale, "seed": args.seed,
-            "consistency": args.consistency, "l1_kb": args.l1_kb,
-            "l1_assoc": args.l1_assoc, "mshr": args.mshr,
-            "mem_cycles": args.mem_cycles, "repeats": args.repeats,
+            "consistency": args.consistency, "l1_kb": BENCH_L1_KB,
+            "l1_assoc": BENCH_L1_ASSOC, "mshr": BENCH_MSHRS,
+            "mem_cycles": BENCH_MEMORY_CYCLES, "repeats": args.repeats,
         },
         "workloads": {},
     }
@@ -583,12 +760,9 @@ def cmd_bench(args) -> int:
     if args.min_compiled_speedup is not None:
         report["min_compiled_speedup"] = args.min_compiled_speedup
         report["pass"] = (report.get("pass", True)
-                         and worst_compiled >= args.min_compiled_speedup)
+                          and worst_compiled >= args.min_compiled_speedup)
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print(f"  report -> {args.out}")
+        write_json(args.out, report, "report", indent=1)
     if not args.no_history:
         from .obs.perfdb import (append_records, git_revision,
                                  records_from_bench_report)
@@ -609,18 +783,14 @@ def cmd_bench(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    import json
-
     from .obs.profiler import KernelProfiler, profile_to_chrome
     from .obs.profiler import render_profile as render_kernel_profile
 
     program = build_workload(args.workload, num_threads=args.cores,
                              scale=args.scale, seed=args.seed)
-    config = replace(MachineConfig(num_cores=args.cores, seed=args.seed),
-                     consistency=ConsistencyModel(args.consistency))
     profiler = KernelProfiler()
-    result = Machine(config).run(program, kernel=args.kernel,
-                                 profiler=profiler)
+    result = Machine(machine_config(args)).run(program, kernel=args.kernel,
+                                               profiler=profiler)
     profile = profiler.profile()
     print(f"{args.workload}: {result.cycles} cycles, "
           f"{result.total_instructions} instructions, "
@@ -632,14 +802,10 @@ def cmd_profile(args) -> int:
               f"(attribution must be exact)", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(profile, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print(f"  profile -> {args.out}")
+        write_json(args.out, profile, "profile", indent=1)
     if args.chrome_out:
-        with open(args.chrome_out, "w") as handle:
-            json.dump(profile_to_chrome(profile), handle)
-        print(f"  chrome trace -> {args.chrome_out}")
+        write_json(args.chrome_out, profile_to_chrome(profile),
+                   "chrome trace")
     return 0
 
 
@@ -648,8 +814,7 @@ def cmd_perf_report(args) -> int:
                              regression_report)
 
     if not Path(args.history).exists():
-        print(f"error: no bench history at {args.history}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"no bench history at {args.history}")
     records, skipped = load_history(args.history)
     if not records:
         print(f"perf report: no usable history in {args.history} "
@@ -704,9 +869,8 @@ def cmd_fuzz(args) -> int:
                         max_failures=args.max_failures,
                         **_parse_fuzz_budget(args.budget))
     if args.baseline_random and config.budget is None:
-        print("error: --baseline-random needs a count budget "
-              "(wall-clock budgets are not comparable)", file=sys.stderr)
-        return 2
+        raise ConfigError("--baseline-random needs a count budget "
+                          "(wall-clock budgets are not comparable)")
     extra = (load_corpus_dir(args.corpus_dir) if args.corpus_dir else None)
 
     def note(line: str) -> None:
@@ -741,8 +905,7 @@ def cmd_fuzz(args) -> int:
         payload = {"report": report.to_dict()}
         if baseline is not None:
             payload["baseline"] = baseline.to_dict()
-        Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json(args.out, payload, "fuzz report", indent=2)
 
     ok = True
     if args.inject_bug:
@@ -774,21 +937,21 @@ def cmd_fuzz(args) -> int:
     return 0 if ok else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+# ------------------------------------------------------------ the tree
+
+def build_parser() -> argparse.ArgumentParser:
+    """Every command and flag of ``python -m repro.tools``."""
     parser = argparse.ArgumentParser(prog="python -m repro.tools",
-                                     description=__doc__)
-    add_log_level_argument(parser)
+                                     description=__doc__.split("\n\n")[0])
+    parser.add_argument("--log-level", default="info",
+                        choices=sorted(LOG_LEVELS),
+                        help="structured-logging verbosity (default: info)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    record = sub.add_parser("record", help="record a workload execution")
-    record.add_argument("--workload", choices=WORKLOAD_NAMES, default="fft")
-    record.add_argument("--program", help="record a saved program.json "
-                                          "instead of a named workload")
-    record.add_argument("--cores", type=int, default=8)
-    record.add_argument("--scale", type=float, default=0.5)
-    record.add_argument("--seed", type=int, default=1)
-    record.add_argument("--consistency", default="RC",
-                        choices=[m.value for m in ConsistencyModel])
+    record = sub.add_parser(
+        "record", help="record a workload execution, optionally verifying "
+                       "it by replay")
+    add_machine_flags(record, program=True)
     record.add_argument("--protocol", default="snoopy",
                         choices=[p.value for p in CoherenceProtocol])
     record.add_argument("--variants", nargs="+", default=["opt_4096"],
@@ -796,21 +959,25 @@ def main(argv: list[str] | None = None) -> int:
     record.add_argument("--edges", action="store_true",
                         help="collect pairwise edges (enables parallel "
                              "replay; snoopy only)")
-    record.add_argument("--out",
-                        help="recording directory to write")
-    record.add_argument("--result-out",
-                        help="write the full serialized RunResult as JSON "
-                             "(the repro.tools inspect input)")
-    record.add_argument("--trace", action="store_true",
-                        help="attach the structured trace bus")
-    record.add_argument("--trace-out",
-                        help="write Chrome trace-event JSON of the "
-                             "recording (implies --trace)")
-    record.add_argument("--metrics-out",
-                        help="write the flat metrics snapshot as JSON")
     record.add_argument("--kernel", default="event", choices=sorted(KERNELS),
-                        help="simulation kernel (both give identical "
+                        help="simulation kernel (all give identical "
                              "results; lockstep is the slow reference)")
+    record.add_argument("--out", help="recording directory to write")
+    add_output_flags(record)
+    record.add_argument("--verify-replay", action="store_true",
+                        help="replay the first variant with checkpoints "
+                             "and verify it against the recording "
+                             "(exit 1 on divergence)")
+    record.add_argument("--forensics-out",
+                        help="write the replay-verification verdict as JSON "
+                             "— on divergence the full DivergenceReport "
+                             "with nearest checkpoint and causal slice "
+                             "(implies --verify-replay)")
+    _add_checkpoint_every(record)
+    record.add_argument("--inject-fault", action="store_true",
+                        help="corrupt the recorded final memory before "
+                             "verification (forces a divergence; implies "
+                             "--verify-replay)")
     record.set_defaults(func=cmd_record)
 
     replay = sub.add_parser("replay", help="replay a stored recording")
@@ -822,136 +989,6 @@ def main(argv: list[str] | None = None) -> int:
                              "(requires --edges at record time)")
     replay.add_argument("--no-verify", action="store_true")
     replay.set_defaults(func=cmd_replay)
-
-    sweep = sub.add_parser(
-        "sweep", help="record a workload grid in parallel with caching")
-    sweep.add_argument("--workloads", default="all",
-                       help="comma-separated workloads (default: all)")
-    sweep.add_argument("--cores", default="8",
-                       help="comma-separated core counts (default: 8)")
-    sweep.add_argument("--consistency", default="RC",
-                       help="comma-separated models out of "
-                            + ",".join(m.value for m in ConsistencyModel))
-    sweep.add_argument("--with-baselines", action="store_true",
-                       help="attach the SC/TSO baseline recorders")
-    sweep.add_argument("--scale", type=float, default=0.5)
-    sweep.add_argument("--seed", type=int, default=1)
-    add_sweep_flags(sweep, jobs=None)
-    sweep.add_argument("--results-out", default=None,
-                       help="write the serialized results keyed by shard "
-                            "label (deterministic: byte-identical across "
-                            "job widths and cache temperature)")
-    sweep.add_argument("--timeout", type=float, default=None,
-                       help="per-shard timeout in seconds")
-    sweep.add_argument("--metrics-out", default=None,
-                       help="write the sweep metrics snapshot as JSON")
-    sweep.add_argument("--capture-trace", action="store_true",
-                       help="workers keep a bounded trace ring buffer and "
-                            "ship it back with their results")
-    sweep.add_argument("--trace-capacity", type=int, default=4096,
-                       help="per-worker trace ring capacity "
-                            "(with --capture-trace)")
-    sweep.add_argument("--trace-out", default=None,
-                       help="write the merged worker traces as JSONL "
-                            "(implies --capture-trace)")
-    sweep.set_defaults(func=cmd_sweep)
-
-    sweep_bench = sub.add_parser(
-        "sweep-bench",
-        help="benchmark the shard pool's queue dispatch against a static "
-             "split on a straggler-skewed grid")
-    sweep_bench.add_argument("--cells", type=int, default=64,
-                             help="synthetic grid size (default 64)")
-    sweep_bench.add_argument("--heavy", type=int, default=8,
-                             help="straggler cells clustered at the grid "
-                                  "front (default 8)")
-    sweep_bench.add_argument("--heavy-ms", type=float, default=200.0,
-                             help="straggler cell cost in ms (default 200)")
-    sweep_bench.add_argument("--light-ms", type=float, default=10.0,
-                             help="light cell cost in ms (default 10)")
-    sweep_bench.add_argument("--jobs", type=int, default=8,
-                             help="worker processes (default 8)")
-    sweep_bench.add_argument("--out", default=None,
-                             help="write the JSON report")
-    sweep_bench.add_argument("--history", default="BENCH_history.jsonl",
-                             help="append-only JSONL perf history "
-                                  "(default: BENCH_history.jsonl)")
-    sweep_bench.add_argument("--no-history", action="store_true",
-                             help="do not append this run to the history")
-    sweep_bench.add_argument("--min-speedup", type=float, default=None,
-                             help="exit non-zero if queue dispatch beats "
-                                  "the static split by less than this "
-                                  "factor")
-    sweep_bench.set_defaults(func=cmd_sweep_bench)
-
-    bench = sub.add_parser(
-        "bench", help="time every kernel against the lockstep reference "
-                      "and check they agree byte-for-byte")
-    bench.add_argument("--workloads", default="fft",
-                       help="comma-separated workloads (default: fft)")
-    bench.add_argument("--cores", type=int, default=16)
-    bench.add_argument("--scale", type=float, default=0.5)
-    bench.add_argument("--seed", type=int, default=7)
-    bench.add_argument("--consistency", default="RC",
-                       choices=[m.value for m in ConsistencyModel])
-    bench.add_argument("--l1-kb", type=int, default=4,
-                       help="L1 size in KiB (small => miss-heavy)")
-    bench.add_argument("--l1-assoc", type=int, default=2)
-    bench.add_argument("--mshr", type=int, default=2,
-                       help="L1 MSHR entries (few => long stalls)")
-    bench.add_argument("--mem-cycles", type=int, default=400,
-                       help="memory roundtrip latency in cycles")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timing repeats; best wall time is reported")
-    bench.add_argument("--out", default=None,
-                       help="write the JSON report (e.g. BENCH_kernel.json)")
-    bench.add_argument("--min-speedup", type=float, default=None,
-                       help="exit non-zero if the event kernel speedup "
-                            "falls below this factor")
-    bench.add_argument("--min-compiled-speedup", type=float, default=None,
-                       help="exit non-zero if the compiled kernel speedup "
-                            "falls below this factor")
-    bench.add_argument("--history", default="BENCH_history.jsonl",
-                       help="append-only JSONL perf history "
-                            "(default: BENCH_history.jsonl)")
-    bench.add_argument("--no-history", action="store_true",
-                       help="do not append this run to the perf history")
-    bench.set_defaults(func=cmd_bench)
-
-    profile = sub.add_parser(
-        "profile", help="attribute simulated cycles and host time of a run")
-    profile.add_argument("--workload", choices=WORKLOAD_NAMES, default="fft")
-    profile.add_argument("--cores", type=int, default=16)
-    profile.add_argument("--scale", type=float, default=0.5)
-    profile.add_argument("--seed", type=int, default=1)
-    profile.add_argument("--consistency", default="RC",
-                         choices=[m.value for m in ConsistencyModel])
-    profile.add_argument("--kernel", default="event",
-                         choices=sorted(KERNELS))
-    profile.add_argument("--out", default=None,
-                         help="write the hierarchical profile as JSON")
-    profile.add_argument("--chrome-out", default=None,
-                         help="write a Chrome trace-event rendering")
-    profile.set_defaults(func=cmd_profile)
-
-    perf_report = sub.add_parser(
-        "perf-report",
-        help="regression-check the bench history against a rolling baseline")
-    perf_report.add_argument("--history", default="BENCH_history.jsonl")
-    perf_report.add_argument("--tolerance", type=float, default=None,
-                             help="relative drop tolerated vs the rolling "
-                                  "baseline (default 0.25)")
-    perf_report.add_argument("--window", type=int, default=None,
-                             help="rolling-baseline depth in records "
-                                  "(default 5)")
-    perf_report.add_argument("--floor-speedup", type=float, default=None,
-                             help="absolute event-kernel speedup floor "
-                                  "enforced even without history")
-    perf_report.add_argument("--floor-compiled-speedup", type=float,
-                             default=None,
-                             help="absolute compiled-kernel speedup floor "
-                                  "enforced even without history")
-    perf_report.set_defaults(func=cmd_perf_report)
 
     inspect = sub.add_parser(
         "inspect",
@@ -965,10 +1002,7 @@ def main(argv: list[str] | None = None) -> int:
                               "(directory summaries only)")
     inspect.add_argument("--variant", default=None,
                          help="recorder variant to inspect (default: first)")
-    inspect.add_argument("--checkpoint-every", type=int, default=8,
-                         metavar="N",
-                         help="replay-checkpoint cadence in chunks "
-                              "(default 8)")
+    _add_checkpoint_every(inspect)
     inspect.add_argument("--json", action="store_true",
                          help="emit one sorted JSON object instead of "
                               "tables")
@@ -989,6 +1023,90 @@ def main(argv: list[str] | None = None) -> int:
                          help="bound the --hb-slice BFS to N hops")
     inspect.set_defaults(func=cmd_inspect)
 
+    sweep = sub.add_parser(
+        "sweep", help="record a workload grid in parallel with caching")
+    add_machine_flags(sweep, workload="all",
+                      lists=("workload", "cores", "consistency"))
+    sweep.add_argument("--with-baselines", action="store_true",
+                       help="attach the SC/TSO baseline recorders")
+    add_sweep_flags(sweep, jobs=None)
+    sweep.add_argument("--timeout", type=float, default=None,
+                       help="per-shard timeout in seconds")
+    add_output_flags(sweep, sweep=True)
+    sweep.set_defaults(func=cmd_sweep)
+
+    figures = sub.add_parser(
+        "figures", help="regenerate the paper's Section 5 tables")
+    figures.add_argument("--experiments", default="all",
+                         help="comma-separated subset of: "
+                              + ",".join(EXPERIMENTS) + " (default: all)")
+    add_machine_flags(figures, workload=None, scale=None)
+    add_sweep_flags(figures, jobs=1)
+    figures.add_argument("--out", help="also write the tables to this file")
+    figures.set_defaults(func=cmd_figures)
+
+    sweep_bench = sub.add_parser(
+        "sweep-bench",
+        help="benchmark the shard pool's queue dispatch against a static "
+             "split on a straggler-skewed grid")
+    sweep_bench.add_argument("--cells", type=int, default=64,
+                             help="synthetic grid size (default 64)")
+    _add_jobs(sweep_bench, 8, "both arms")
+    sweep_bench.add_argument("--out", help="write the JSON report")
+    _add_history_flags(sweep_bench)
+    sweep_bench.add_argument("--min-speedup", type=float, default=None,
+                             help="exit non-zero if queue dispatch beats "
+                                  "the static split by less than this "
+                                  "factor")
+    sweep_bench.set_defaults(func=cmd_sweep_bench)
+
+    bench = sub.add_parser(
+        "bench", help="time every kernel against the lockstep reference "
+                      "and check they agree byte-for-byte")
+    add_machine_flags(bench, cores=16, seed=7, lists=("workload",))
+    bench.add_argument("--repeats", type=int, default=3,
+                       help="timing repeats; best wall time is reported")
+    bench.add_argument("--out",
+                       help="write the JSON report (e.g. BENCH_kernel.json)")
+    bench.add_argument("--min-speedup", type=float, default=None,
+                       help="exit non-zero if the event kernel speedup "
+                            "falls below this factor")
+    bench.add_argument("--min-compiled-speedup", type=float, default=None,
+                       help="exit non-zero if the compiled kernel speedup "
+                            "falls below this factor")
+    _add_history_flags(bench)
+    bench.set_defaults(func=cmd_bench)
+
+    profile = sub.add_parser(
+        "profile", help="attribute simulated cycles and host time of a run")
+    add_machine_flags(profile, cores=16)
+    profile.add_argument("--kernel", default="event",
+                         choices=sorted(KERNELS))
+    profile.add_argument("--out",
+                         help="write the hierarchical profile as JSON")
+    profile.add_argument("--chrome-out",
+                         help="write a Chrome trace-event rendering")
+    profile.set_defaults(func=cmd_profile)
+
+    perf_report = sub.add_parser(
+        "perf-report",
+        help="regression-check the bench history against a rolling baseline")
+    perf_report.add_argument("--history", default=HISTORY)
+    perf_report.add_argument("--tolerance", type=float, default=None,
+                             help="relative drop tolerated vs the rolling "
+                                  "baseline (default 0.25)")
+    perf_report.add_argument("--window", type=int, default=None,
+                             help="rolling-baseline depth in records "
+                                  "(default 5)")
+    perf_report.add_argument("--floor-speedup", type=float, default=None,
+                             help="absolute event-kernel speedup floor "
+                                  "enforced even without history")
+    perf_report.add_argument("--floor-compiled-speedup", type=float,
+                             default=None,
+                             help="absolute compiled-kernel speedup floor "
+                                  "enforced even without history")
+    perf_report.set_defaults(func=cmd_perf_report)
+
     fuzz = sub.add_parser(
         "fuzz",
         help="coverage-guided fuzzing of the recorder via differential "
@@ -998,9 +1116,8 @@ def main(argv: list[str] | None = None) -> int:
                            "seconds with an 's' suffix, e.g. 60s "
                            "(default 100)")
     fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--jobs", type=int, default=1,
-                      help="worker processes (any width gives identical "
-                           "results under a count budget)")
+    _add_jobs(fuzz, 1, "candidate evaluation (any width gives identical "
+                       "results under a count budget)")
     fuzz.add_argument("--batch", type=int, default=None,
                       help="candidates per generation (default max(4, jobs))")
     fuzz.add_argument("--corpus-dir",
@@ -1023,24 +1140,28 @@ def main(argv: list[str] | None = None) -> int:
                       help="write the session report (and baseline, if any) "
                            "as JSON")
     fuzz.set_defaults(func=cmd_fuzz)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command; the one place errors become exit codes (1 replay
+    divergence, 2 bad input or usage)."""
+    args = build_parser().parse_args(argv)
     setup_logging(args.log_level)
-    logger = logging.getLogger("repro.tools")
     try:
         return args.func(args)
     except ReplayDivergenceError as error:
-        report = getattr(error, "report", None)
+        report = error.report
         print(report.render() if report is not None else str(error),
               file=sys.stderr)
-        logger.debug("replay divergence", exc_info=True)
+        _LOG.debug("replay divergence", exc_info=True)
         return 1
     except (OSError, json.JSONDecodeError, LogFormatError, ConfigError,
             WorkloadError, FuzzError, KeyError, ValueError) as error:
         message = (error.args[0] if error.args and
                    isinstance(error.args[0], str) else str(error))
         print(f"error: {message}", file=sys.stderr)
-        logger.debug("command failed", exc_info=True)
+        _LOG.debug("command failed", exc_info=True)
         return 2
 
 

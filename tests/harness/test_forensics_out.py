@@ -1,11 +1,9 @@
-"""End-to-end tests for ``python -m repro.harness run`` replay
+"""End-to-end tests for ``python -m repro.tools record`` replay
 verification: --verify-replay, --forensics-out and --inject-fault."""
 
 import json
 
-import pytest
-
-from repro.harness.__main__ import main
+from repro.tools import main
 
 _FAST = ["--workload", "fft", "--cores", "2", "--scale", "0.1"]
 
@@ -14,7 +12,7 @@ class TestVerifyReplay:
     def test_clean_run_verifies_and_reports(self, tmp_path, capsys):
         forensics = tmp_path / "forensics.json"
         result_out = tmp_path / "run.json"
-        code = main(["run", *_FAST,
+        code = main(["record", *_FAST,
                      "--verify-replay",
                      "--forensics-out", str(forensics),
                      "--result-out", str(result_out)])
@@ -32,7 +30,7 @@ class TestVerifyReplay:
     def test_injected_fault_diverges_with_forensics(self, tmp_path,
                                                     capsys):
         forensics = tmp_path / "forensics.json"
-        code = main(["run", *_FAST,
+        code = main(["record", *_FAST,
                      "--inject-fault",
                      "--checkpoint-every", "4",
                      "--forensics-out", str(forensics)])
@@ -57,11 +55,6 @@ class TestVerifyReplay:
 
     def test_forensics_out_implies_verification(self, tmp_path):
         forensics = tmp_path / "forensics.json"
-        code = main(["run", *_FAST, "--forensics-out", str(forensics)])
+        code = main(["record", *_FAST, "--forensics-out", str(forensics)])
         assert code == 0
         assert json.loads(forensics.read_text())["verified"] is True
-
-    def test_multi_workload_rejects_verify_flags(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["run", "--workload", "fft,radix",
-                  "--verify-replay"])

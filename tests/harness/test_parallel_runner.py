@@ -4,7 +4,7 @@ Covers the cache lifecycle (hit / miss / invalidation / corruption /
 resume-after-kill), the worker-pool failure handling (retry-once,
 per-shard timeouts, exhausted retries), the stability of the cache key
 across interpreter runs, and the CLI plumbing that threads
-``--jobs/--cache-dir/--no-cache/--resume`` through the harness,
+``--jobs/--cache-dir/--no-cache`` through ``repro.tools figures``,
 including the default ``.repro_cache/results.sqlite`` cache.
 """
 
@@ -467,16 +467,17 @@ class TestExperimentRunnerIntegration:
 class TestHarnessCli:
     def test_experiments_form_threads_sweep_flags(self, tmp_path, capsys,
                                                   monkeypatch):
-        from repro.harness.__main__ import main
+        from repro.tools import main
         monkeypatch.setenv("REPRO_SCALE", "0.05")
         out = tmp_path / "report.txt"
-        argv = ["--experiments", "fig1", "--cores", "2", "--jobs", "2",
+        argv = ["figures", "--experiments", "fig1", "--cores", "2",
+                "--jobs", "2",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--out", str(out)]
         assert main(argv) == 0
         cold = out.read_text()
         capsys.readouterr()
-        assert main(argv + ["--resume"]) == 0
+        assert main(argv) == 0
         captured = capsys.readouterr()
         assert out.read_text() == cold  # warm rerun is byte-identical
         # Structured sweep-ready line: everything came from the cache.
@@ -490,10 +491,10 @@ class TestHarnessCli:
         """With no cache flags, the experiments form caches in
         ``.repro_cache/results.sqlite`` under the working directory, and a
         rerun records nothing and prints the same tables."""
-        from repro.harness.__main__ import main
+        from repro.tools import main
         monkeypatch.setenv("REPRO_SCALE", "0.05")
         monkeypatch.chdir(tmp_path)
-        argv = ["--experiments", "fig1", "--cores", "2"]
+        argv = ["figures", "--experiments", "fig1", "--cores", "2"]
         assert main(argv) == 0
         cold = capsys.readouterr()
         assert (tmp_path / ".repro_cache" / "results.sqlite").is_file()
@@ -504,27 +505,14 @@ class TestHarnessCli:
         assert warm.out == cold.out
         assert "Figure 1" in cold.out
 
-    def test_resume_rejects_no_cache(self, capsys):
-        from repro.harness.__main__ import main
-        with pytest.raises(SystemExit):
-            main(["--experiments", "fig1", "--resume", "--no-cache"])
-
-    def test_run_subcommand_shards_workload_lists(self, tmp_path, capsys):
-        from repro.harness.__main__ import main
-        assert main(["run", "--workload", "fft,radix", "--cores", "2",
-                     "--scale", "0.05", "--jobs", "2",
-                     "--cache-dir", str(tmp_path / "cache")]) == 0
-        err = capsys.readouterr().err
-        assert "workload=fft" in err and "workload=radix" in err
-        assert "Sweep summary" in err
-
-    def test_run_subcommand_single_workload_writes_metrics(self, tmp_path,
-                                                           capsys):
-        from repro.harness.__main__ import main
+    def test_record_writes_metrics_snapshot(self, tmp_path, capsys):
+        """``record`` with only ``--metrics-out`` records and writes the
+        run's metrics snapshot."""
+        from repro.tools import main
         metrics = tmp_path / "metrics.json"
-        assert main(["run", "--workload", "fft", "--cores", "2",
+        assert main(["record", "--workload", "fft", "--cores", "2",
                      "--scale", "0.05", "--metrics-out", str(metrics)]) == 0
-        assert "workload=fft" in capsys.readouterr().err
+        assert "recorded" in capsys.readouterr().out
         assert json.loads(metrics.read_text())
 
     def test_tools_sweep_renders_grid_table(self, tmp_path, capsys):

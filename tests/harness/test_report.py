@@ -1,7 +1,5 @@
 """Unit tests for the report renderers (no simulation required)."""
 
-import pytest
-
 from repro.harness.report import (
     format_table,
     render_baselines,
@@ -114,18 +112,26 @@ class TestRenderers:
 
 class TestCli:
     def test_main_subset(self, capsys):
-        from repro.harness.__main__ import main
-        assert main(["--experiments", "table1"]) == 0
+        from repro.tools import main
+        assert main(["figures", "--experiments", "table1"]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out
 
-    def test_main_rejects_unknown(self):
-        from repro.harness.__main__ import main
-        with pytest.raises(SystemExit):
-            main(["--experiments", "fig99"])
+    def test_main_rejects_unknown(self, capsys):
+        from repro.tools import main
+        assert main(["figures", "--experiments", "fig99"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "unknown experiments: fig99" in err
 
     def test_main_writes_file(self, tmp_path, capsys):
-        from repro.harness.__main__ import main
+        from repro.tools import main
         out = tmp_path / "report.txt"
-        assert main(["--experiments", "table1", "--out", str(out)]) == 0
+        assert main(["figures", "--experiments", "table1",
+                     "--out", str(out)]) == 0
         assert "Table 1" in out.read_text()
+
+    def test_every_experiment_has_a_renderer(self):
+        from repro.harness.figures import EXPERIMENTS
+        from repro.harness.report import RENDERERS
+        assert list(EXPERIMENTS) == list(RENDERERS)

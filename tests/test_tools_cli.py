@@ -82,13 +82,31 @@ class TestFailureExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_corrupt_run_result_json(self, tmp_path, capsys):
+    def test_corrupt_run_result_json(self, run_json, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["inspect", str(bad)]) == 2
         bad.write_text(json.dumps({"wrong": "shape"}))
         assert main(["inspect", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+        # Each malformed top-level key of a real run is an input error
+        # (exit 2) with one error line naming the key.
+        good = json.loads(run_json["run"].read_text())
+        missing = object()
+        cases = [("program", 5), ("cores", "two"), ("final_memory", [1, 2]),
+                 ("recordings", []), ("program", missing),
+                 ("config", missing), ("cycles", "x")]
+        for key, value in cases:
+            data = dict(good)
+            if value is missing:
+                del data[key]
+            else:
+                data[key] = value
+            bad.write_text(json.dumps(data))
+            assert main(["inspect", str(bad)]) == 2, (key, value)
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1, err
+            assert repr(key) in err, err
 
     def test_unknown_chunk_reference(self, run_json, capsys):
         assert main(["inspect", str(run_json["run"]),
