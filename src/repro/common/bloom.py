@@ -21,14 +21,21 @@ __all__ = ["BloomSignature"]
 
 #: Shared per-address mask cache, keyed by the hash-family identity
 #: ``(banks, bits_per_bank, seed)``.  Recorders on every processor use the
-#: same seed, so all their signatures resolve an address to the same bank
-#: masks — one shared cache amortizes the hash work across the machine
-#: instead of once per signature object.
-_MASK_CACHES: dict[tuple[int, int, int], dict[int, tuple[int, ...]]] = {}
+#: same seed, so all their signatures resolve an address to the same mask —
+#: one shared cache amortizes the hash work across the machine instead of
+#: once per signature object.
+_MASK_CACHES: dict[tuple[int, int, int], dict[int, int]] = {}
 
 
 class BloomSignature:
     """A banked Bloom filter over (line) addresses.
+
+    The banks are stored side by side in one integer, :attr:`bits`: bank
+    ``b`` owns bits ``[b * bits_per_bank, (b + 1) * bits_per_bank)``.  An
+    address's :meth:`mask_for` sets its one bit in every bank, so inserting
+    is ``bits |= mask`` and the membership test is ``bits & mask == mask``.
+    Several signatures of one geometry and seed share their masks, so their
+    :attr:`bits` can be OR-ed into a union that contains each of them.
 
     Parameters
     ----------
@@ -43,8 +50,7 @@ class BloomSignature:
         yields a correct filter.
     """
 
-    __slots__ = ("banks", "bits_per_bank", "_hashes", "_bank_bits", "_inserted",
-                 "_masks")
+    __slots__ = ("banks", "bits_per_bank", "bits", "_hashes", "masks")
 
     def __init__(self, banks: int = 4, bits_per_bank: int = 256, *, seed: int = 0):
         if banks <= 0:
@@ -56,52 +62,40 @@ class BloomSignature:
         self.bits_per_bank = bits_per_bank
         out_bits = bits_per_bank.bit_length() - 1
         self._hashes = make_h3_family(banks, out_bits, seed=seed)
-        # Each bank is an int used as a bitset; Python ints keep this compact.
-        self._bank_bits = [0] * banks
-        self._inserted = 0
-        # The per-bank bit masks of an address are pure in the (memoized)
-        # hashes, and the address population is small and heavily repeated:
-        # cache the derived mask tuple so the hot insert/membership paths
-        # skip the per-bank hash calls entirely.
-        self._masks = _MASK_CACHES.setdefault(
-            (banks, bits_per_bank, seed), {})
+        # All banks in one int used as a bitset; Python ints keep this compact.
+        self.bits = 0
+        # An address's mask is pure in the (shared) hashes, and the address
+        # population is small and heavily repeated: the shared cache lets
+        # the hot insert/membership paths skip the per-bank hash calls.
+        self.masks = _MASK_CACHES.setdefault((banks, bits_per_bank, seed), {})
 
-    def _masks_for(self, address: int) -> tuple[int, ...]:
-        masks = self._masks.get(address)
-        if masks is None:
-            masks = tuple(1 << h(address) for h in self._hashes)
-            self._masks[address] = masks
-        return masks
+    def mask_for(self, address: int) -> int:
+        """The address's bit in every bank, as one mask over :attr:`bits`."""
+        mask = self.masks.get(address)
+        if mask is None:
+            mask = 0
+            for bank, h in enumerate(self._hashes):
+                mask |= 1 << (bank * self.bits_per_bank + h(address))
+            self.masks[address] = mask
+        return mask
 
     def insert(self, address: int) -> None:
         """Insert a line address into the signature."""
-        bank_bits = self._bank_bits
-        for index, mask in enumerate(self._masks_for(address)):
-            bank_bits[index] |= mask
-        self._inserted += 1
+        self.bits |= self.mask_for(address)
 
     def may_contain(self, address: int) -> bool:
         """Membership test: ``False`` is definite, ``True`` may be a false positive."""
-        for bits, mask in zip(self._bank_bits, self._masks_for(address)):
-            if not bits & mask:
-                return False
-        return True
+        mask = self.mask_for(address)
+        return self.bits & mask == mask
 
     def clear(self) -> None:
         """Empty the signature (done at every interval termination)."""
-        for index in range(self.banks):
-            self._bank_bits[index] = 0
-        self._inserted = 0
+        self.bits = 0
 
     @property
     def is_empty(self) -> bool:
         """True when no address has been inserted since the last :meth:`clear`."""
-        return not any(self._bank_bits)
-
-    @property
-    def inserted_count(self) -> int:
-        """Number of insertions since the last clear (including duplicates)."""
-        return self._inserted
+        return not self.bits
 
     @property
     def size_bits(self) -> int:
@@ -111,7 +105,7 @@ class BloomSignature:
     @property
     def set_bits(self) -> int:
         """Number of set bits across all banks."""
-        return sum(bits.bit_count() for bits in self._bank_bits)
+        return self.bits.bit_count()
 
     def occupancy(self) -> float:
         """Fraction of set bits across all banks — a saturation indicator."""
@@ -119,4 +113,4 @@ class BloomSignature:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"BloomSignature(banks={self.banks}, bits_per_bank={self.bits_per_bank}, "
-                f"inserted={self._inserted})")
+                f"set_bits={self.set_bits})")

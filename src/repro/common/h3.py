@@ -74,16 +74,26 @@ class H3Hash:
         return f"H3Hash(key_bits={self.key_bits}, out_bits={self.out_bits})"
 
 
+#: One family per ``(count, out_bits, key_bits, seed)``: the functions are
+#: pure, so every signature and Snoop Table built with the same parameters
+#: shares one tuple (and its memoized hash values).
+_FAMILIES: dict[tuple[int, int, int, int], tuple[H3Hash, ...]] = {}
+
+
 def make_h3_family(count: int, out_bits: int, *, key_bits: int = _DEFAULT_KEY_BITS,
                    seed: int = 0) -> Sequence[H3Hash]:
-    """Create ``count`` independent H3 functions with distinct derived seeds.
+    """Return ``count`` independent H3 functions with distinct derived seeds.
 
     Used wherever the paper calls for "a different hash function for each
-    array" (Snoop Table, Figure 8) or one hash per Bloom-filter bank.
+    array" (Snoop Table, Figure 8) or one hash per Bloom-filter bank.  Calls
+    with equal arguments return the same shared tuple.
     """
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
-    return tuple(
-        H3Hash(out_bits, key_bits=key_bits, seed=seed * 7919 + index + 1)
-        for index in range(count)
-    )
+    key = (count, out_bits, key_bits, seed)
+    family = _FAMILIES.get(key)
+    if family is None:
+        family = _FAMILIES[key] = tuple(
+            H3Hash(out_bits, key_bits=key_bits, seed=seed * 7919 + index + 1)
+            for index in range(count))
+    return family

@@ -13,7 +13,7 @@ from .logfmt import (
     encode_log,
     entry_bit_size,
 )
-from .mrr import RecorderStats, RelaxReplayRecorder
+from .mrr import RecorderBank, RecorderStats, RelaxReplayRecorder
 from .ordering import DependenceTracker, IntervalEdge
 from .snoop_table import SnoopTable
 from .traq import TraqEntry, TrackingQueue
@@ -30,6 +30,7 @@ __all__ = [
     "decode_log",
     "encode_log",
     "entry_bit_size",
+    "RecorderBank",
     "RecorderStats",
     "DependenceTracker",
     "IntervalEdge",

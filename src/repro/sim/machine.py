@@ -4,8 +4,9 @@
 :class:`~repro.isa.program.Program` to a shared
 :class:`~repro.mem.memsys.MemorySystem`, attaches any number of passive
 recorder variants (Base/Opt x interval caps can all watch one execution,
-since recording never perturbs it beyond the — shared — TRAQ), and hands
-the wired components to a simulation kernel (:mod:`repro.sim.kernel`).
+since recording never perturbs it beyond the — shared — TRAQ) through one
+:class:`~repro.recorder.mrr.RecorderBank` per core, and hands the wired
+components to a simulation kernel (:mod:`repro.sim.kernel`).
 The default ``event`` kernel advances the clock from wake-up to wake-up,
 stepping only the cores that are due; the ``lockstep`` reference kernel
 steps everything every visited cycle.  Both produce identical results.
@@ -27,7 +28,7 @@ from ..mem.memsys import MemorySystem
 from ..obs.metrics import MetricsRegistry, MetricsSnapshot
 from ..obs.tracer import Tracer
 from ..recorder.logfmt import LogEntry
-from ..recorder.mrr import RecorderStats, RelaxReplayRecorder
+from ..recorder.mrr import RecorderBank, RecorderStats, RelaxReplayRecorder
 from ..recorder.ordering import DependenceTracker
 from ..recorder.traq import TraqEntry, TrackingQueue
 from .kernel import KERNELS, OccupancySampler
@@ -213,6 +214,10 @@ class Machine:
                 "pairwise dependence edges (parallel replay) require the "
                 "snoopy protocol: a directory does not give every core the "
                 "global view the weak ordering edges rely on")
+        # One MRR module per core: the only recorder sink and snoop
+        # listener of the core, driving every variant.
+        banks = [RecorderBank(core_id, config.l1.line_bytes, seed=config.seed)
+                 for core_id in range(config.num_cores)]
         recorders: dict[str, list[RelaxReplayRecorder]] = {}
         trackers: dict[str, DependenceTracker] = {}
         for name, recorder_config in self.recorder_configs.items():
@@ -226,16 +231,13 @@ class Machine:
             tracker = DependenceTracker() if collect_dependence_edges else None
             if tracker is not None:
                 trackers[name] = tracker
-            per_core = [RelaxReplayRecorder(core_id, recorder_config,
-                                            config.l1.line_bytes,
-                                            seed=config.seed, name=name,
-                                            dependence_tracker=tracker)
-                        for core_id in range(config.num_cores)]
-            recorders[name] = per_core
-            for core_id, recorder in enumerate(per_core):
-                recorder.tracer = tracer
-                cores[core_id].sinks.append(recorder)
-                memsys.add_listener(recorder)
+            recorders[name] = [bank.add(name, recorder_config,
+                                        dependence_tracker=tracker)
+                               for bank in banks]
+        for core, bank in zip(cores, banks):
+            bank.tracer = tracer
+            core.sinks.append(bank)
+            memsys.add_listener(bank)
 
         baselines: dict[str, list] = {}
         for name, factory in (baseline_factories or {}).items():
@@ -271,9 +273,8 @@ class Machine:
                                profiler)
             profiler.finish(cycle, perf_counter() - started)
 
-        for per_core in recorders.values():
-            for recorder in per_core:
-                recorder.finish(cycle)
+        for bank in banks:
+            bank.finish(cycle)
         for per_core in baselines.values():
             for recorder in per_core:
                 recorder.finish(cycle)

@@ -286,6 +286,26 @@ _RUN_RESULT_KEYS = {
     "metrics": (dict, type(None)),
 }
 
+#: The JSON types of each key of one ``cores`` entry.
+_CORE_KEYS = {
+    **{key: (int,) for key in (
+        "core_id", "instructions", "mem_instructions", "loads", "stores",
+        "rmws", "ooo_loads", "ooo_stores", "forwarded_loads",
+        "traq_stall_cycles")},
+    "final_regs": (list,),
+    "traq_occupancy": (dict,),
+    "traq_histogram": (dict,),
+}
+
+#: The JSON types of each key of one ``recordings.<variant>`` entry.
+_RECORDING_KEYS = {
+    "core_id": (int,),
+    "config": (dict,),
+    "log": (str,),
+    "bit_length": (int,),
+    "stats": (dict,),
+}
+
 _JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string",
                     int: "an integer", float: "a number", bool: "a boolean",
                     type(None): "null"}
@@ -295,9 +315,28 @@ def _json_type(value) -> str:
     return _JSON_TYPE_NAMES.get(type(value), type(value).__name__)
 
 
-def _check_run_result_keys(data) -> None:
-    """Raise :class:`LogFormatError` naming the first top-level key that is
-    missing or holds the wrong JSON type (one check per key)."""
+def _check_type(value, types: tuple, path: str) -> None:
+    if type(value) not in types:
+        expected = " or ".join(_JSON_TYPE_NAMES[kind] for kind in types)
+        raise LogFormatError(
+            f"{path} must be {expected}, got {_json_type(value)}")
+
+
+def _check_keys(data, keys: dict, path: str) -> None:
+    """Raise :class:`LogFormatError` naming the first key of ``keys`` that
+    the object at ``path`` lacks or holds with the wrong JSON type."""
+    _check_type(data, (dict,), path)
+    for key, types in keys.items():
+        if key not in data:
+            raise LogFormatError(f"{path} is missing key {key!r}")
+        _check_type(data[key], types, f"{path}.{key}")
+
+
+def _check_run_result(data) -> None:
+    """Check a serialized run result's shape: the version, every top-level
+    key, each ``cores`` and ``recordings`` entry and each
+    ``dependence_edges`` value.  The first mismatch raises
+    :class:`LogFormatError` naming its path, e.g. ``cores[0].final_regs``."""
     if type(data) is not dict:
         raise LogFormatError(
             f"run result must be a JSON object, got {_json_type(data)}")
@@ -309,22 +348,34 @@ def _check_run_result_keys(data) -> None:
     for key, types in _RUN_RESULT_KEYS.items():
         if key not in data:
             raise LogFormatError(f"run result is missing key {key!r}")
-        if type(data[key]) not in types:
-            expected = " or ".join(_JSON_TYPE_NAMES[kind] for kind in types)
-            raise LogFormatError(
-                f"run result key {key!r} must be {expected}, "
-                f"got {_json_type(data[key])}")
+        _check_type(data[key], types, f"run result key {key!r}")
+    for index, core in enumerate(data["cores"]):
+        _check_keys(core, _CORE_KEYS, f"cores[{index}]")
+    for name, outputs in data["recordings"].items():
+        _check_type(outputs, (list,), f"recordings.{name}")
+        for index, output in enumerate(outputs):
+            _check_keys(output, _RECORDING_KEYS,
+                        f"recordings.{name}[{index}]")
+    for name, rows in data["dependence_edges"].items():
+        _check_type(rows, (list,), f"dependence_edges.{name}")
+        for index, row in enumerate(rows):
+            if (type(row) is not list or len(row) != 4
+                    or any(type(value) is not int for value in row)):
+                raise LogFormatError(
+                    f"dependence_edges.{name}[{index}] must be an array of "
+                    f"4 integers")
 
 
 def run_result_from_dict(data: dict) -> RunResult:
     """Rebuild a :class:`RunResult` written by :func:`run_result_to_dict`.
 
-    A top-level key that is missing or of the wrong JSON type raises
-    :class:`LogFormatError` naming the key.
+    A key that is missing or of the wrong JSON type — at the top level, in
+    a ``cores`` or ``recordings`` entry, or a ``dependence_edges`` value —
+    raises :class:`LogFormatError` naming its path.
     """
     from ..storage import config_from_dict, program_from_dict
 
-    _check_run_result_keys(data)
+    _check_run_result(data)
     load_trace = data["load_trace"]
     return RunResult(
         program=program_from_dict(data["program"]),

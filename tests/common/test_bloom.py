@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.bloom import BloomSignature
+from repro.common.h3 import H3Hash
 
 
 class TestBloomBasics:
@@ -12,14 +13,14 @@ class TestBloomBasics:
         sig = BloomSignature()
         assert sig.is_empty
         assert not sig.may_contain(0x1234)
-        assert sig.inserted_count == 0
+        assert sig.set_bits == 0
 
     def test_insert_and_query(self):
         sig = BloomSignature()
         sig.insert(42)
         assert sig.may_contain(42)
         assert not sig.is_empty
-        assert sig.inserted_count == 1
+        assert sig.set_bits == sig.banks  # one bit in every bank
 
     def test_clear(self):
         sig = BloomSignature()
@@ -27,7 +28,7 @@ class TestBloomBasics:
             sig.insert(addr)
         sig.clear()
         assert sig.is_empty
-        assert sig.inserted_count == 0
+        assert sig.set_bits == 0
         assert not any(sig.may_contain(addr) for addr in range(10))
 
     def test_size_bits_matches_paper(self):
@@ -59,6 +60,28 @@ class TestBloomBasics:
         false_positives = sum(sig.may_contain(addr) for addr in probes)
         # 20 elements in a 4x256 filter: expected FP rate well under 2%.
         assert false_positives < len(probes) * 0.02
+
+
+class TestSharedHashes:
+    def test_same_seed_signatures_share_hashes_and_masks(self):
+        a = BloomSignature(4, 256, seed=5)
+        b = BloomSignature(4, 256, seed=5)
+        assert a._hashes is b._hashes
+        # The masks are those of freshly built (unshared) hash functions:
+        # bank ``i`` uses derived seed ``seed * 7919 + i + 1``.
+        fresh = [H3Hash(8, seed=5 * 7919 + bank + 1) for bank in range(4)]
+        for address in (0, 1, 0x1234, 1 << 40):
+            expected = 0
+            for bank, h in enumerate(fresh):
+                expected |= 1 << (bank * 256 + h(address))
+            assert a.mask_for(address) == b.mask_for(address) == expected
+
+    def test_shared_hashes_keep_signatures_independent(self):
+        a = BloomSignature(4, 256, seed=5)
+        b = BloomSignature(4, 256, seed=5)
+        a.insert(42)
+        assert a.may_contain(42)
+        assert b.is_empty
 
 
 class TestBloomProperties:

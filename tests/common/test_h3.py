@@ -78,6 +78,13 @@ class TestMakeFamily:
         f2 = make_h3_family(2, 6, seed=11)
         assert all(f1[i](k) == f2[i](k) for i in range(2) for k in range(100))
 
+    def test_shared_per_parameters(self):
+        assert make_h3_family(2, 6, seed=11) is make_h3_family(2, 6, seed=11)
+        assert make_h3_family(2, 6, seed=11) is not make_h3_family(2, 6,
+                                                                   seed=12)
+        assert make_h3_family(2, 6, seed=11) is not make_h3_family(
+            2, 6, key_bits=32, seed=11)
+
     def test_bad_count(self):
         with pytest.raises(ValueError):
             make_h3_family(0, 8)

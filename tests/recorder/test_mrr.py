@@ -3,7 +3,8 @@
 Fabricating perform/count/snoop events gives cycle-precise control over the
 cases of Figure 4: in-order accesses, perform events moved across interval
 boundaries (Opt), reordered loads/stores/RMWs, and interval termination
-rules.
+rules.  Events go through a :class:`RecorderBank`, the recorder's only
+entry point, holding one variant (or, for the bank's own tests, several).
 """
 
 import pytest
@@ -20,18 +21,19 @@ from repro.recorder.logfmt import (
     ReorderedRmw,
     ReorderedStore,
 )
-from repro.recorder.mrr import RelaxReplayRecorder
+from repro.recorder.mrr import RecorderBank
 from repro.recorder.traq import TraqEntry
 
 LINE = 32
 
 
 class Driver:
-    """Feeds one recorder hand-crafted events."""
+    """Feeds a one-recorder bank hand-crafted events."""
 
     def __init__(self, mode, *, cap=None, core_id=0):
         config = RecorderConfig(mode=mode, max_interval_instructions=cap)
-        self.recorder = RelaxReplayRecorder(core_id, config, LINE, seed=3)
+        self.bank = RecorderBank(core_id, LINE, seed=3)
+        self.recorder = self.bank.add("v", config)
         self.core_id = core_id
         self._seq = 0
         self._entry_id = 0
@@ -52,21 +54,21 @@ class Driver:
         return dyn, entry
 
     def perform(self, dyn, cycle):
-        self.recorder.on_perform(dyn, cycle, out_of_order=False)
+        self.bank.on_perform(dyn, cycle, out_of_order=False)
 
     def count(self, entry, cycle):
-        self.recorder.on_count(entry, cycle)
+        self.bank.on_count(entry, cycle)
 
     def remote_write(self, addr, cycle, requester=1):
-        self.recorder.on_transaction(SnoopEvent(cycle, requester,
-                                                addr // LINE, True))
+        self.bank.on_transaction(SnoopEvent(cycle, requester,
+                                            addr // LINE, True))
 
     def remote_read(self, addr, cycle, requester=1):
-        self.recorder.on_transaction(SnoopEvent(cycle, requester,
-                                                addr // LINE, False))
+        self.bank.on_transaction(SnoopEvent(cycle, requester,
+                                            addr // LINE, False))
 
     def finish(self, cycle=1000):
-        self.recorder.finish(cycle)
+        self.bank.finish(cycle)
         return self.recorder.entries
 
 
@@ -296,27 +298,28 @@ class TestFinish:
 
 
 class TestDirtyEviction:
+    @staticmethod
+    def recorder(**overrides):
+        bank = RecorderBank(0, LINE, seed=3)
+        return bank, bank.add("v", RecorderConfig(mode=RecorderMode.OPT,
+                                                  **overrides))
+
     def test_eviction_increments_snoop_table_when_enabled(self):
-        config = RecorderConfig(mode=RecorderMode.OPT,
-                                dirty_eviction_snoop_increment=True)
-        recorder = RelaxReplayRecorder(0, config, LINE, seed=3)
+        bank, recorder = self.recorder(dirty_eviction_snoop_increment=True)
         snapshot = recorder.snoop_table.sample(0x100 // LINE)
-        recorder.on_dirty_eviction(5, 0, 0x100 // LINE)
+        bank.on_dirty_eviction(5, 0, 0x100 // LINE)
         assert recorder.snoop_table.conflicts_since(0x100 // LINE, snapshot)
 
     def test_eviction_ignored_when_disabled(self):
-        config = RecorderConfig(mode=RecorderMode.OPT)
-        recorder = RelaxReplayRecorder(0, config, LINE, seed=3)
+        bank, recorder = self.recorder()
         snapshot = recorder.snoop_table.sample(0x100 // LINE)
-        recorder.on_dirty_eviction(5, 0, 0x100 // LINE)
+        bank.on_dirty_eviction(5, 0, 0x100 // LINE)
         assert not recorder.snoop_table.conflicts_since(0x100 // LINE,
                                                         snapshot)
 
     def test_other_cores_evictions_ignored(self):
-        config = RecorderConfig(mode=RecorderMode.OPT,
-                                dirty_eviction_snoop_increment=True)
-        recorder = RelaxReplayRecorder(0, config, LINE, seed=3)
+        bank, recorder = self.recorder(dirty_eviction_snoop_increment=True)
         snapshot = recorder.snoop_table.sample(0x100 // LINE)
-        recorder.on_dirty_eviction(5, 2, 0x100 // LINE)
+        bank.on_dirty_eviction(5, 2, 0x100 // LINE)
         assert not recorder.snoop_table.conflicts_since(0x100 // LINE,
                                                         snapshot)

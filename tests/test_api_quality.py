@@ -91,9 +91,11 @@ def test_all_submodules_enumerated():
 def test_public_classes_have_documented_public_methods():
     from repro.sim import Machine
     from repro.replay import Replayer
-    from repro.recorder import RelaxReplayRecorder, TrackingQueue
+    from repro.recorder import (RecorderBank, RelaxReplayRecorder,
+                                TrackingQueue)
 
-    for cls in (Machine, Replayer, RelaxReplayRecorder, TrackingQueue):
+    for cls in (Machine, Replayer, RecorderBank, RelaxReplayRecorder,
+                TrackingQueue):
         for name, member in inspect.getmembers(cls,
                                                predicate=inspect.isfunction):
             if name.startswith("_"):

@@ -107,6 +107,39 @@ class TestFailureExitCodes:
             err = capsys.readouterr().err
             assert err.count("error:") == 1, err
             assert repr(key) in err, err
+        # So is each malformed nested entry; the error names its path.
+        variant = sorted(good["recordings"])[0]
+        recording = f"recordings.{variant}[0]"
+        nested = [
+            (f"{recording}.bit_length", ("recordings", variant, 0,
+                                         "bit_length"), "x"),
+            (f"{recording}.log", ("recordings", variant, 0, "log"), 5),
+            (f"{recording}.stats", ("recordings", variant, 0, "stats"), []),
+            (f"{recording}.config", ("recordings", variant, 0, "config"),
+             "x"),
+            (recording, ("recordings", variant, 0), [1]),
+            ("cores[0]", ("cores", 0), 5),
+            ("cores[0].final_regs", ("cores", 0, "final_regs"), 5),
+            ("cores[0].traq_occupancy", ("cores", 0, "traq_occupancy"), "x"),
+            ("cores[0] is missing key 'loads'", ("cores", 0, "loads"),
+             missing),
+            (f"dependence_edges.{variant}", ("dependence_edges", variant),
+             5),
+        ]
+        for where, path, value in nested:
+            data = json.loads(json.dumps(good))
+            parent = data
+            for step in path[:-1]:
+                parent = parent[step]
+            if value is missing:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            bad.write_text(json.dumps(data))
+            assert main(["inspect", str(bad), "--state-at", "0:0"]) == 2, where
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1, err
+            assert where in err, err
 
     def test_unknown_chunk_reference(self, run_json, capsys):
         assert main(["inspect", str(run_json["run"]),
