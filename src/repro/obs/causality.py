@@ -17,6 +17,9 @@ earlier chunk becomes an ancestor) but is sound — QuickRec replay really
 does commit them first — and the ``source`` attribute says which
 construction was used.
 
+Built from recorded edges, the same graph is the DAG parallel replay
+(:mod:`repro.replay.parallel`) runs over, in its topological order.
+
 Nodes are plain ``(core_id, cisn)`` tuples throughout.
 """
 
@@ -24,6 +27,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+
+from ..common.errors import LogFormatError
 
 __all__ = ["Node", "HBSlice", "CausalityGraph"]
 
@@ -87,8 +92,10 @@ class CausalityGraph:
 
     intervals_per_core: list[int]
     source: str
-    _preds: dict[Node, set[Node]] = field(default_factory=dict)
-    _succs: dict[Node, set[Node]] = field(default_factory=dict)
+    # Adjacency as insertion-ordered dicts (used as sets), so a traversal
+    # visits program-order links first, then recorded edges in log order.
+    _preds: dict[Node, dict[Node, None]] = field(default_factory=dict)
+    _succs: dict[Node, dict[Node, None]] = field(default_factory=dict)
 
     @classmethod
     def build(cls, intervals_per_core: list[int], *, edges=None,
@@ -141,8 +148,8 @@ class CausalityGraph:
                 for cisn in range(count)]
 
     def _add_edge(self, src: Node, dst: Node) -> None:
-        self._succs.setdefault(src, set()).add(dst)
-        self._preds.setdefault(dst, set()).add(src)
+        self._succs.setdefault(src, {})[dst] = None
+        self._preds.setdefault(dst, {})[src] = None
 
     def _require(self, node: Node) -> None:
         if not self.has_node(node):
@@ -162,7 +169,29 @@ class CausalityGraph:
         self._require(node)
         return sorted(self._succs.get(node, ()))
 
-    def _reach(self, node: Node, links: dict[Node, set[Node]],
+    def topological_order(self) -> list[Node]:
+        """Every chunk in a graph order that is deliberately not the
+        timestamp order (Kahn's algorithm, younger core first); a cycle
+        raises :class:`LogFormatError`."""
+        nodes = self.nodes()
+        indegree = {node: len(self._preds.get(node, ())) for node in nodes}
+        ready = deque(sorted((node for node in nodes if not indegree[node]),
+                             key=lambda node: (-node[0], node[1])))
+        order: list[Node] = []
+        while ready:
+            node = ready.popleft()
+            order.append(node)
+            for successor in self._succs.get(node, ()):
+                indegree[successor] -= 1
+                if not indegree[successor]:
+                    ready.append(successor)
+        if len(order) != len(nodes):
+            raise LogFormatError(
+                f"interval dependence graph has a cycle "
+                f"({len(nodes) - len(order)} intervals unreachable)")
+        return order
+
+    def _reach(self, node: Node, links: dict[Node, dict[Node, None]],
                depth: int | None) -> set[Node]:
         self._require(node)
         seen: set[Node] = set()

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from ..replay.costmodel import ReplayCounts
 from ..replay.replayer import ReplayState, Replayer, _WriterTrackingMemory
 from ..sim.serialize import thread_context_from_dict, thread_context_to_dict
-from .causality import CausalityGraph, HBSlice
+from .causality import HBSlice
 
 __all__ = [
     "DEFAULT_CHECKPOINT_EVERY",
@@ -289,74 +289,41 @@ class StateView:
 class ReplayInspector:
     """Reverse-debugging query engine over one recorded variant.
 
-    Construction replays the recording once end to end, capturing
-    checkpoints every ``checkpoint_every`` chunks and indexing every
-    memory access; queries then cost one nearest-checkpoint restore plus
-    a bounded forward replay.
+    ``recording`` is a :class:`~repro.sim.machine.RunResult` or a
+    :class:`~repro.storage.StoredRecording`; ``variant`` defaults to its
+    first in sorted order.  Construction replays the recording once end to
+    end, capturing checkpoints every ``checkpoint_every`` chunks and
+    indexing every memory access; queries then cost one
+    nearest-checkpoint restore plus a bounded forward replay.
     """
 
-    def __init__(self, program, per_core_entries: list[list], *,
-                 cisn_bits: int = 16, variant: str = "default",
-                 edges=None,
-                 checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-                 recording_cycles: int | None = None):
+    def __init__(self, recording, variant: str | None = None, *,
+                 checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY):
         if checkpoint_every <= 0:
             raise ValueError("checkpoint_every must be positive")
-        self.variant = variant
-        self.recording_cycles = recording_cycles
+        self.replayer = Replayer.of(recording, variant)
+        self.variant = self.replayer.variant
+        self.recording_cycles = recording.cycles
         self.checkpoint_every = checkpoint_every
-        self.replayer = Replayer(program, per_core_entries,
-                                 cisn_bits=cisn_bits, variant=variant)
-        self.checkpoints = CheckpointStore()
+        self.replayer.attach_time_travel(
+            recording.dependence_edges.get(self.variant))
+        self.checkpoints = self.replayer.checkpoint_store
+        self.graph = self.replayer.hb_graph
         self.accesses = AccessLog()
+        #: The executor's own counts of each interval, by replay position.
+        self.interval_counts: list[ReplayCounts] = []
+
+        def keep_counts(_state, _interval, interval_counts):
+            self.interval_counts.append(interval_counts)
+
         memory, contexts, counts = self.replayer.replay(
             checkpoint_every=checkpoint_every,
             checkpoint_sink=self.checkpoints.capture,
-            access_sink=self.accesses)
+            access_sink=self.accesses, on_interval_end=keep_counts)
         self.final_memory = {addr: value for addr, value in memory.items()
                              if value}
         self.final_writers = dict(memory.writers)
         self.final_counts = counts
-        self.graph = CausalityGraph.build(
-            self.replayer.intervals_per_core(), edges=edges,
-            order=self.replayer.quickrec_order())
-        self.replayer.checkpoint_store = self.checkpoints
-        self.replayer.hb_graph = self.graph
-
-    # Constructors -------------------------------------------------------
-
-    @classmethod
-    def from_run_result(cls, result, variant: str = "default", *,
-                        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
-                        ) -> "ReplayInspector":
-        """Inspector over a live or deserialized
-        :class:`~repro.sim.machine.RunResult`."""
-        outputs = result.recordings[variant]
-        return cls(result.program,
-                   [output.entries for output in outputs],
-                   cisn_bits=outputs[0].config.cisn_bits, variant=variant,
-                   edges=result.dependence_edges.get(variant),
-                   checkpoint_every=checkpoint_every,
-                   recording_cycles=result.cycles)
-
-    @classmethod
-    def from_stored(cls, stored, variant: str | None = None, *,
-                    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
-                    ) -> "ReplayInspector":
-        """Inspector over a :class:`~repro.storage.StoredRecording`."""
-        from ..common.config import RecorderConfig
-        from ..storage import config_from_dict
-
-        variant = variant or stored.variants[0]
-        entries = stored.log_entries(variant)  # nice error on bad variant
-        meta = stored.manifest["variants"][variant]
-        recorder_config = config_from_dict(RecorderConfig,
-                                           meta["recorder_config"])
-        return cls(stored.program, entries,
-                   cisn_bits=recorder_config.cisn_bits, variant=variant,
-                   edges=stored.edges(variant),
-                   checkpoint_every=checkpoint_every,
-                   recording_cycles=stored.cycles)
 
     # State queries ------------------------------------------------------
 
@@ -428,33 +395,21 @@ class ReplayInspector:
             raise KeyError(f"core {core_id} out of range "
                            f"(program has "
                            f"{self.replayer.program.num_threads} threads)")
-        from ..recorder.logfmt import Dummy, InorderBlock, ReorderedLoad
-        from ..replay.patcher import PatchedWrite
-
         spans = []
         for position, interval in enumerate(self.replayer.intervals):
             if interval.core_id != core_id:
                 continue
-            bounds = self.replayer.interval_bounds(core_id, interval.cisn)
-            instructions = injected = dummies = patched = 0
-            for entry in interval.entries:
-                if isinstance(entry, InorderBlock):
-                    instructions += entry.size
-                elif isinstance(entry, ReorderedLoad):
-                    injected += 1
-                elif isinstance(entry, Dummy):
-                    dummies += 1
-                elif isinstance(entry, PatchedWrite):
-                    patched += 1
+            start, end = self.replayer.interval_bounds(core_id, interval.cisn)
+            counts = self.interval_counts[position]
             spans.append({
                 "cisn": interval.cisn,
                 "position": position,
-                "start": bounds[0] if bounds else 0,
-                "end": bounds[1] if bounds else interval.timestamp,
-                "instructions": instructions,
-                "injected_loads": injected,
-                "dummies": dummies,
-                "patched_writes": patched,
+                "start": start,
+                "end": end,
+                "instructions": counts.instructions,
+                "injected_loads": counts.injected_loads,
+                "dummies": counts.dummies,
+                "patched_writes": counts.patched_writes,
             })
         return spans
 

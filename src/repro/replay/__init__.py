@@ -2,11 +2,7 @@
 
 from .costmodel import ReplayCounts, ReplayTime, estimate_replay_time
 from .interpreter import ThreadContext
-from .parallel import (
-    ParallelReplayer,
-    ParallelReplayResult,
-    parallel_replay_recording,
-)
+from .parallel import ParallelReplayResult, parallel_replay_recording
 from .patcher import PatchedWrite, ReplayInterval, group_intervals, patch_intervals
 from .replayer import Replayer, ReplayResult, replay_recording
 
@@ -15,7 +11,6 @@ __all__ = [
     "ReplayTime",
     "estimate_replay_time",
     "ThreadContext",
-    "ParallelReplayer",
     "ParallelReplayResult",
     "parallel_replay_recording",
     "PatchedWrite",

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from ..common.config import ReplayCostConfig
 
-__all__ = ["ReplayCounts", "ReplayTime", "estimate_replay_time"]
+__all__ = ["ReplayCounts", "ReplayTime", "estimate_replay_time",
+           "recorded_cpi"]
 
 
 @dataclass
@@ -54,6 +55,18 @@ class ReplayTime:
             "os": self.os_cycles / recording_cycles,
             "total": self.total_cycles / recording_cycles,
         }
+
+
+def recorded_cpi(recording) -> float:
+    """The recorded execution's per-core cycles per instruction.
+
+    ``recording`` is a :class:`~repro.sim.machine.RunResult` or a
+    :class:`~repro.storage.StoredRecording`; a run that retired nothing
+    counts as CPI 1.
+    """
+    total = recording.total_instructions
+    return (recording.cycles * len(recording.cores) / total
+            if total else 1.0)
 
 
 def estimate_replay_time(counts: ReplayCounts,

@@ -7,38 +7,33 @@ inter-interval edges — and that small maximum interval sizes exist
 precisely to expose this parallelism.
 
 This module implements that replayer on top of the Cyrus-style edges
-collected by :class:`repro.recorder.ordering.DependenceTracker`:
+collected by :class:`repro.recorder.ordering.DependenceTracker`, from the
+same three parts as sequential replay:
 
-* builds the interval DAG (recorded conflict edges + per-core program
-  order) and checks it is acyclic;
-* *verifies* the DAG by executing the intervals in a topological order that
-  deliberately ignores the QuickRec timestamps — if the edges missed any
-  dependence, the bit-exact determinism check fails;
-* schedules the DAG on one worker per core (an interval starts when its
-  same-core predecessor and all edge predecessors finished; durations come
-  from the Figure 13 cost model) and reports the parallel makespan and
-  speedup over sequential replay.
+* the interval DAG is the happens-before graph
+  :class:`~repro.obs.causality.CausalityGraph` builds from the recorded
+  edges and per-core program order; a cycle is an error;
+* :class:`~repro.replay.replayer.Replayer` executes the intervals in the
+  graph's topological order, which deliberately ignores the QuickRec
+  timestamps, and :func:`~repro.replay.replayer.verify_and_cost` verifies
+  the result — if the edges missed any dependence, the bit-exact
+  determinism check fails and names the culprit chunk;
+* the DAG is scheduled on one worker per core (an interval starts when its
+  same-core predecessor and all edge predecessors finished; each duration
+  is the Figure 13 cost model applied to that interval's replay counts),
+  giving the parallel makespan and the speedup over sequential replay.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from ..common.config import ReplayCostConfig
 from ..common.errors import LogFormatError
-from ..isa.instructions import MASK64
-from ..isa.program import Program
-from ..recorder.logfmt import Dummy, InorderBlock, ReorderedLoad
-from ..recorder.ordering import IntervalEdge
-from ..sim.machine import RunResult
-from .costmodel import ReplayCounts
-from .interpreter import ThreadContext
-from .patcher import PatchedWrite, ReplayInterval, group_intervals, patch_intervals
-from .replayer import _verify_memory, _verify_registers
+from ..obs.causality import CausalityGraph
+from .costmodel import ReplayCounts, estimate_replay_time, recorded_cpi
+from .replayer import Replayer, pick_variant, verify_and_cost
 
-__all__ = ["ParallelReplayResult", "ParallelReplayer",
-           "parallel_replay_recording"]
+__all__ = ["ParallelReplayResult", "parallel_replay_recording"]
 
 
 @dataclass
@@ -58,193 +53,53 @@ class ParallelReplayResult:
         return (self.sequential_cycles / self.makespan_cycles
                 if self.makespan_cycles else 0.0)
 
-    def normalized_to_recording(self, recording_cycles: int) -> float:
-        return (self.makespan_cycles / recording_cycles
-                if recording_cycles else 0.0)
 
+def parallel_replay_recording(recording, variant: str | None = None, *,
+                              verify: bool = True) -> ParallelReplayResult:
+    """Parallel-replay one variant of a ``RunResult`` or
+    ``StoredRecording`` (default: the first in sorted order) and verify it.
 
-class ParallelReplayer:
-    """DAG-ordered replayer (see module docstring)."""
-
-    def __init__(self, program: Program, per_core_entries: list[list],
-                 edges: list[IntervalEdge], cost: ReplayCostConfig, *,
-                 recorded_cpi: float = 1.0, cisn_bits: int = 16,
-                 variant: str = "default"):
-        if len(per_core_entries) != program.num_threads:
-            raise LogFormatError(
-                f"log has {len(per_core_entries)} cores, program has "
-                f"{program.num_threads} threads")
-        self.program = program
-        self.variant = variant
-        self.cost = cost
-        self.recorded_cpi = recorded_cpi
-
-        self.per_core: list[list[ReplayInterval]] = []
-        for core_id, entries in enumerate(per_core_entries):
-            intervals = group_intervals(core_id, list(entries),
-                                        cisn_bits=cisn_bits)
-            patch_intervals(intervals)
-            self.per_core.append(intervals)
-
-        self.edges = [edge for edge in edges
-                      if self._exists(edge.src_core, edge.src_cisn)
-                      and self._exists(edge.dst_core, edge.dst_cisn)]
-
-    def _exists(self, core: int, cisn: int) -> bool:
-        return core < len(self.per_core) and cisn < len(self.per_core[core])
-
-    # ------------------------------------------------------------- graph
-
-    def _topological_order(self) -> list[ReplayInterval]:
-        """Kahn's algorithm over conflict edges + per-core program order,
-        biased *against* the recording's timestamp order (younger-core-first
-        tie-breaking) so verification genuinely tests the edges."""
-        preds: dict[tuple[int, int], set[tuple[int, int]]] = {}
-        succs: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-        def add_edge(src: tuple[int, int], dst: tuple[int, int]) -> None:
-            if src == dst:
-                return
-            if dst not in preds:
-                preds[dst] = set()
-            if src not in preds[dst]:
-                preds[dst].add(src)
-                succs.setdefault(src, []).append(dst)
-
-        nodes = [(core, interval.cisn)
-                 for core, intervals in enumerate(self.per_core)
-                 for interval in intervals]
-        for core, intervals in enumerate(self.per_core):
-            for interval in intervals[1:]:
-                add_edge((core, interval.cisn - 1), (core, interval.cisn))
-        for edge in self.edges:
-            add_edge((edge.src_core, edge.src_cisn),
-                     (edge.dst_core, edge.dst_cisn))
-
-        indegree = {node: len(preds.get(node, ())) for node in nodes}
-        ready = deque(sorted((node for node in nodes if not indegree[node]),
-                             key=lambda node: (-node[0], node[1])))
-        order: list[ReplayInterval] = []
-        while ready:
-            node = ready.popleft()
-            core, cisn = node
-            order.append(self.per_core[core][cisn])
-            for successor in succs.get(node, ()):
-                indegree[successor] -= 1
-                if indegree[successor] == 0:
-                    ready.append(successor)
-        if len(order) != len(nodes):
-            raise LogFormatError(
-                f"[{self.variant}] interval dependence graph has a cycle "
-                f"({len(nodes) - len(order)} intervals unreachable)")
-        return order
-
-    # ----------------------------------------------------------- durations
-
-    def _duration(self, interval: ReplayInterval) -> float:
-        cost = self.cost
-        cpi = cost.user_cpi * (self.recorded_cpi
-                               if cost.relative_user_cpi else 1.0)
-        cycles = float(cost.interval_dispatch_cycles)
-        for entry in interval.entries:
-            if isinstance(entry, InorderBlock):
-                cycles += (entry.size * cpi
-                           + cost.inorder_block_interrupt_cycles
-                           + cost.block_flush_user_cycles)
-            elif isinstance(entry, ReorderedLoad):
-                cycles += cost.reordered_load_cycles
-            elif isinstance(entry, Dummy):
-                cycles += cost.dummy_entry_cycles
-            elif isinstance(entry, PatchedWrite):
-                cycles += cost.reordered_store_cycles
-        return max(cycles, 1.0)
-
-    # -------------------------------------------------------------- replay
-
-    def replay(self):
-        """Execute in topological order; returns
-        (memory, contexts, counts, schedule facts)."""
-        order = self._topological_order()
-
-        memory: dict[int, int] = {addr: value & MASK64 for addr, value
-                                  in self.program.initial_memory.items()}
-        contexts = [ThreadContext(core_id, self.program.threads[core_id])
-                    for core_id in range(self.program.num_threads)]
-        counts = ReplayCounts()
-        finish: dict[tuple[int, int], float] = {}
-        core_free = [0.0] * self.program.num_threads
-        preds_of: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for edge in self.edges:
-            preds_of.setdefault((edge.dst_core, edge.dst_cisn), []).append(
-                (edge.src_core, edge.src_cisn))
-
-        sequential = 0.0
-        critical = 0.0
-        for interval in order:
-            counts.intervals += 1
-            context = contexts[interval.core_id]
-            for entry in interval.entries:
-                if isinstance(entry, InorderBlock):
-                    for _ in range(entry.size):
-                        context.step(memory)
-                    counts.instructions += entry.size
-                    counts.inorder_blocks += 1
-                elif isinstance(entry, ReorderedLoad):
-                    context.inject_load_value(entry.value)
-                    counts.injected_loads += 1
-                elif isinstance(entry, Dummy):
-                    context.skip_store()
-                    counts.dummies += 1
-                elif isinstance(entry, PatchedWrite):
-                    memory[entry.addr] = entry.value & MASK64
-                    counts.patched_writes += 1
-                else:
-                    raise LogFormatError(
-                        f"unpatched or unknown entry {entry!r}")
-            # Schedule accounting: one replay worker per core, waits for
-            # the recorded predecessors (condition variables in the paper's
-            # OS module).
-            node = (interval.core_id, interval.cisn)
-            duration = self._duration(interval)
-            start = core_free[interval.core_id]
-            for predecessor in preds_of.get(node, ()):
-                start = max(start, finish[predecessor])
-            end = start + duration
-            finish[node] = end
-            core_free[interval.core_id] = end
-            sequential += duration
-            critical = max(critical, end)
-
-        return memory, contexts, counts, sequential, critical
-
-
-def parallel_replay_recording(result: RunResult, variant: str = "default",
-                              *, verify: bool = True) -> ParallelReplayResult:
-    """Parallel-replay a recorded variant (requires that the run collected
-    dependence edges, i.e. the machine was built with pairwise ordering)."""
-    if variant not in result.dependence_edges:
+    The recording must carry the variant's dependence edges: record with
+    ``--edges`` (``collect_dependence_edges=True``).
+    """
+    variant = pick_variant(recording, variant)
+    edges = recording.dependence_edges.get(variant)
+    if edges is None:
         raise LogFormatError(
-            f"recording has no dependence edges for {variant!r}; run the "
-            f"machine with collect_dependence_edges=True")
-    outputs = result.recordings[variant]
-    total_instructions = result.total_instructions
-    recorded_cpi = (result.cycles * len(result.cores) / total_instructions
-                    if total_instructions else 1.0)
-    replayer = ParallelReplayer(
-        result.program, [output.entries for output in outputs],
-        result.dependence_edges[variant], result.config.replay_cost,
-        recorded_cpi=recorded_cpi, cisn_bits=outputs[0].config.cisn_bits,
-        variant=variant)
-    memory, contexts, counts, sequential, makespan = replayer.replay()
-    if verify:
-        _verify_memory(memory, result.final_memory, variant)
-        _verify_registers(contexts, result, variant)
+            f"recording has no dependence edges for {variant!r}; record it "
+            f"with --edges (collect_dependence_edges=True) to replay it in "
+            f"parallel")
+    replayer = Replayer.of(recording, variant)
+    graph = CausalityGraph.build(replayer.intervals_per_core(), edges=edges)
+    replayer.reorder(graph.topological_order())
+    replayer.hb_graph = graph
+    cost = recording.config.replay_cost
+    cpi = recorded_cpi(recording)
+    finish: dict[tuple[int, int], float] = {}
+    durations: list[float] = []
+
+    def schedule(_state, interval, counts: ReplayCounts) -> None:
+        # One replay worker per core waits for the chunk's recorded
+        # predecessors (condition variables in the paper's OS module).
+        duration = max(
+            estimate_replay_time(counts, cost, cpi).total_cycles, 1.0)
+        node = (interval.core_id, interval.cisn)
+        finish[node] = duration + max(
+            (finish[parent] for parent in graph.parents(node)), default=0.0)
+        durations.append(duration)
+
+    state = replayer.run(replayer.initial_state(), on_interval_end=schedule)
+    verify_and_cost(recording, replayer, state.memory, state.contexts,
+                    state.counts, verify=verify)
+    makespan = max(finish.values(), default=0.0)
     return ParallelReplayResult(
         variant=variant,
-        counts=counts,
+        counts=state.counts,
         makespan_cycles=makespan,
-        sequential_cycles=sequential,
+        sequential_cycles=sum(durations),
         critical_path_cycles=makespan,
-        edges=len(replayer.edges),
+        edges=sum(graph.has_node((edge.src_core, edge.src_cisn))
+                  and graph.has_node((edge.dst_core, edge.dst_cisn))
+                  for edge in edges),
         verified=verify,
     )

@@ -1,16 +1,21 @@
-"""Sequential deterministic replayer with verification (Section 3.5).
+"""Deterministic replayer with verification (Section 3.5).
 
 The replayer consumes a recording (one recorder variant's per-core interval
 logs), patches reordered stores, orders all intervals by their QuickRec
 timestamps, and re-executes the program: InorderBlocks run natively on the
 in-order interpreter, ReorderedLoads inject logged values, Dummies skip
 patched stores, and PatchedWrites apply relocated memory updates.
+:meth:`Replayer.run` is the only code that executes intervals; the
+inspector and parallel replay (via :meth:`Replayer.reorder`) use it too.
+A recording is a :class:`~repro.sim.machine.RunResult` or a
+:class:`~repro.storage.StoredRecording`; both offer the same attributes.
 
-Unlike the paper — which asserts determinism — this replayer *verifies* it:
-final memory, final architectural registers, and (when a load trace was
-captured) every loaded value are compared against the recorded execution,
-raising :class:`~repro.common.errors.ReplayDivergenceError` on the first
-mismatch.  The property-based test-suite leans on this heavily.
+Unlike the paper — which asserts determinism — every replay form
+*verifies* it in one step (:func:`verify_and_cost`): final memory, final
+architectural registers, and (when a load trace was captured) every loaded
+value are compared against the recorded execution, raising
+:class:`~repro.common.errors.ReplayDivergenceError` on the first mismatch.
+The property-based test-suite leans on this heavily.
 """
 
 from __future__ import annotations
@@ -24,12 +29,13 @@ from ..obs.events import CheckpointEvent, DivergenceEvent, ReplayStepEvent
 from ..obs.forensics import build_report, raise_divergence
 from ..obs.tracer import Tracer
 from ..recorder.logfmt import Dummy, InorderBlock, ReorderedLoad
-from ..sim.machine import RunResult
-from .costmodel import ReplayCounts, ReplayTime, estimate_replay_time
+from .costmodel import (ReplayCounts, ReplayTime, estimate_replay_time,
+                        recorded_cpi)
 from .interpreter import ThreadContext
 from .patcher import PatchedWrite, ReplayInterval, group_intervals, patch_intervals
 
-__all__ = ["ReplayResult", "ReplayState", "Replayer", "replay_recording"]
+__all__ = ["ReplayResult", "ReplayState", "Replayer", "pick_variant",
+           "replay_recording", "verify_and_cost"]
 
 
 class _WriterTrackingMemory(dict):
@@ -127,6 +133,38 @@ class Replayer:
         self.checkpoint_store = None
         self.hb_graph = None
 
+    @classmethod
+    def of(cls, recording, variant: str | None = None, *,
+           tracer: Tracer | None = None) -> "Replayer":
+        """The replayer of one variant (default: the first in sorted order)
+        of a ``RunResult`` or ``StoredRecording``."""
+        variant = pick_variant(recording, variant)
+        return cls(recording.program, recording.log_entries(variant),
+                   cisn_bits=recording.recorder_config(variant).cisn_bits,
+                   variant=variant, tracer=tracer)
+
+    def reorder(self, order: list[tuple[int, int]]) -> None:
+        """Replay the (core, cisn) chunks in ``order``, a permutation of
+        :meth:`quickrec_order` such as a dependence DAG's topological
+        order, instead of the QuickRec total order."""
+        by_node = {(interval.core_id, interval.cisn): interval
+                   for interval in self.intervals}
+        self.intervals = [by_node[node] for node in order]
+        self._index = {node: position for position, node in enumerate(order)}
+
+    def attach_time_travel(self, edges) -> None:
+        """Capture checkpoints during :meth:`replay` and build the
+        happens-before graph over ``edges`` (None when not collected), so a
+        divergence report names the nearest checkpoint and the culprit
+        chunk's causal cone."""
+        from ..obs.causality import CausalityGraph
+        from ..obs.inspect import CheckpointStore
+
+        self.checkpoint_store = CheckpointStore()
+        self.hb_graph = CausalityGraph.build(
+            self.intervals_per_core(), edges=edges,
+            order=self.quickrec_order())
+
     def interval_bounds(self, core_id: int, cisn: int) -> tuple[int, int] | None:
         """Recording cycles (start, end) spanned by a core's chunk."""
         return self._bounds.get((core_id, cisn))
@@ -144,7 +182,8 @@ class Replayer:
         return counts
 
     def quickrec_order(self) -> list[tuple[int, int]]:
-        """The (core, cisn) chunks in the QuickRec total replay order."""
+        """The (core, cisn) chunks in replay order: the QuickRec total
+        order unless :meth:`reorder` changed it."""
         return [(interval.core_id, interval.cisn)
                 for interval in self.intervals]
 
@@ -167,8 +206,10 @@ class Replayer:
         ``access_sink`` (see :mod:`repro.obs.inspect`) observes every memory
         access: it gets ``begin_interval(position, interval)`` before each
         chunk and ``access(kind, addr, value)`` per access.
-        ``on_interval_end(state, interval)`` fires after each commit (the
-        checkpoint hook).  Both default to None and cost nothing then.
+        ``on_interval_end(state, interval, counts)`` fires after each
+        commit with that interval's own :class:`ReplayCounts` (the
+        checkpoint and parallel-schedule hook).  Both default to None and
+        cost nothing then.
         """
         end = len(self.intervals) if stop is None else stop
         if not state.position <= end <= len(self.intervals):
@@ -183,38 +224,41 @@ class Replayer:
             for position in range(state.position, end):
                 interval = self.intervals[position]
                 # In the real system the OS waits here for all predecessor
-                # intervals; sequential replay makes that wait implicit.
-                counts.intervals += 1
+                # intervals; replaying one chunk at a time makes that wait
+                # implicit.
                 memory.current = (interval.core_id, interval.cisn)
                 if access_sink is not None:
                     access_sink.begin_interval(position, interval)
                 context = contexts[interval.core_id]
-                instructions = injected = patched = 0
+                instructions = blocks = injected = dummies = patched = 0
                 for entry in interval.entries:
                     if isinstance(entry, InorderBlock):
                         for _ in range(entry.size):
                             context.step(memory)
                         instructions += entry.size
-                        counts.instructions += entry.size
-                        counts.inorder_blocks += 1
+                        blocks += 1
                     elif isinstance(entry, ReorderedLoad):
                         context.inject_load_value(entry.value)
                         injected += 1
-                        counts.injected_loads += 1
                     elif isinstance(entry, Dummy):
                         context.skip_store()
-                        counts.dummies += 1
+                        dummies += 1
                     elif isinstance(entry, PatchedWrite):
                         memory[entry.addr] = entry.value & MASK64
                         if access_sink is not None:
                             access_sink.access("patched-store", entry.addr,
                                                entry.value & MASK64)
                         patched += 1
-                        counts.patched_writes += 1
                     else:
                         raise LogFormatError(
                             f"unpatched or unknown entry {entry!r} during "
                             f"replay")
+                counts.intervals += 1
+                counts.instructions += instructions
+                counts.inorder_blocks += blocks
+                counts.injected_loads += injected
+                counts.dummies += dummies
+                counts.patched_writes += patched
                 if self.tracer is not None:
                     self.tracer.emit(ReplayStepEvent(
                         cycle=interval.timestamp, core_id=interval.core_id,
@@ -225,7 +269,10 @@ class Replayer:
                 state.position = position + 1
                 state.cisn_watermarks[interval.core_id] = interval.cisn + 1
                 if on_interval_end is not None:
-                    on_interval_end(state, interval)
+                    on_interval_end(state, interval, ReplayCounts(
+                        instructions=instructions, injected_loads=injected,
+                        dummies=dummies, patched_writes=patched,
+                        inorder_blocks=blocks, intervals=1))
         finally:
             if access_sink is not None:
                 for context in contexts:
@@ -234,28 +281,30 @@ class Replayer:
         return state
 
     def replay(self, *, checkpoint_every: int | None = None,
-               checkpoint_sink=None, access_sink=None
+               checkpoint_sink=None, access_sink=None, on_interval_end=None
                ) -> tuple[dict[int, int], list[ThreadContext], ReplayCounts]:
         """Run the full replay; returns (memory, contexts, counts).
 
         With ``checkpoint_sink`` (a callable ``(replayer, state) ->
         checkpoint``, e.g. :meth:`repro.obs.inspect.CheckpointStore.capture`)
         a snapshot is taken before the first interval and after every
-        ``checkpoint_every`` committed chunks.
+        ``checkpoint_every`` committed chunks.  ``access_sink`` and
+        ``on_interval_end`` go to :meth:`run`.
         """
         state = self.initial_state()
-        on_interval_end = None
+        hook = on_interval_end
         if checkpoint_sink is not None:
             every = checkpoint_every or 1
             self._emit_checkpoint(checkpoint_sink(self, state), cycle=0)
 
-            def on_interval_end(state, interval):
+            def hook(state, interval, counts):
+                if on_interval_end is not None:
+                    on_interval_end(state, interval, counts)
                 if state.position % every == 0:
                     self._emit_checkpoint(checkpoint_sink(self, state),
                                           cycle=interval.timestamp)
 
-        self.run(state, access_sink=access_sink,
-                 on_interval_end=on_interval_end)
+        self.run(state, access_sink=access_sink, on_interval_end=hook)
         return state.memory, state.contexts, state.counts
 
     def _emit_checkpoint(self, checkpoint, *, cycle: int) -> None:
@@ -266,17 +315,30 @@ class Replayer:
                 position=checkpoint.position))
 
 
-def replay_recording(result: RunResult, variant: str = "default", *,
+def pick_variant(recording, variant: str | None = None) -> str:
+    """``variant``, or by default the recording's first variant in sorted
+    order; a name the recording lacks raises :class:`LogFormatError`
+    naming the available ones."""
+    variants = recording.variants
+    if variant is None and variants:
+        return variants[0]
+    if variant not in variants:
+        raise LogFormatError(
+            f"recording has no variant {variant!r}; available: "
+            f"{', '.join(variants) or 'none'}")
+    return variant
+
+
+def replay_recording(recording, variant: str | None = None, *,
                      verify: bool = True,
                      verify_load_trace: bool = True,
                      tracer: Tracer | None = None,
                      checkpoint_every: int | None = None) -> ReplayResult:
-    """Replay a :class:`~repro.sim.machine.RunResult` variant and verify it.
+    """Replay one variant (default: the first in sorted order) of a
+    ``RunResult`` or ``StoredRecording`` and verify it
+    (:func:`verify_and_cost`).
 
-    ``verify`` checks final memory and final architectural registers against
-    the recorded execution.  ``verify_load_trace`` additionally compares
-    every loaded value when the run captured a load trace.  On a mismatch
-    the raised :class:`ReplayDivergenceError` carries a
+    A mismatch raises :class:`ReplayDivergenceError` carrying a
     :class:`~repro.obs.forensics.DivergenceReport` (with recent history
     when ``tracer`` is given) naming the culprit core/chunk/address.
 
@@ -285,37 +347,38 @@ def replay_recording(result: RunResult, variant: str = "default", *,
     report also names the nearest checkpoint, the culprit chunk's causal
     cone, and a ready-to-run ``repro.tools inspect`` command line.
     """
-    outputs = result.recordings[variant]
-    replayer = Replayer(result.program,
-                        [output.entries for output in outputs],
-                        cisn_bits=outputs[0].config.cisn_bits,
-                        variant=variant, tracer=tracer)
+    replayer = Replayer.of(recording, variant, tracer=tracer)
     checkpoint_sink = None
     if checkpoint_every is not None:
-        from ..obs.causality import CausalityGraph
-        from ..obs.inspect import CheckpointStore
-        replayer.checkpoint_store = CheckpointStore()
-        replayer.hb_graph = CausalityGraph.build(
-            replayer.intervals_per_core(),
-            edges=result.dependence_edges.get(variant),
-            order=replayer.quickrec_order())
+        replayer.attach_time_travel(
+            recording.dependence_edges.get(replayer.variant))
         checkpoint_sink = replayer.checkpoint_store.capture
     memory, contexts, counts = replayer.replay(
         checkpoint_every=checkpoint_every, checkpoint_sink=checkpoint_sink)
+    return verify_and_cost(recording, replayer, memory, contexts, counts,
+                           verify=verify, verify_load_trace=verify_load_trace)
 
+
+def verify_and_cost(recording, replayer: Replayer, memory: dict[int, int],
+                    contexts: list[ThreadContext], counts: ReplayCounts, *,
+                    verify: bool = True,
+                    verify_load_trace: bool = True) -> ReplayResult:
+    """The one verification step of every replay form, plus its cost.
+
+    With ``verify``, checks final memory, each core's instruction count and
+    registers and (with ``verify_load_trace``) a captured load trace
+    against ``recording``; a mismatch raises :class:`ReplayDivergenceError`
+    naming the culprit.  ``counts`` are costed by the Figure 13 model.
+    """
     if verify:
-        _verify_memory(memory, result.final_memory, replayer)
-        _verify_registers(contexts, result, replayer)
-        if verify_load_trace and result.load_trace is not None:
-            _verify_load_trace(contexts, result, replayer)
-
-    total_instructions = result.total_instructions
-    recorded_cpi = (result.cycles * len(result.cores) / total_instructions
-                    if total_instructions else 1.0)
-    time = estimate_replay_time(counts, result.config.replay_cost,
-                                recorded_cpi=recorded_cpi)
+        _verify_memory(memory, recording.final_memory, replayer)
+        _verify_registers(contexts, recording, replayer)
+        if verify_load_trace and recording.load_trace is not None:
+            _verify_load_trace(contexts, recording, replayer)
+    time = estimate_replay_time(counts, recording.config.replay_cost,
+                                recorded_cpi=recorded_cpi(recording))
     return ReplayResult(
-        variant=variant,
+        variant=replayer.variant,
         counts=counts,
         time=time,
         final_memory={addr: value for addr, value in memory.items() if value},
@@ -324,37 +387,28 @@ def replay_recording(result: RunResult, variant: str = "default", *,
     )
 
 
-def _diverge(replayer: "Replayer | str", *, kind: str, detail: str,
+def _diverge(replayer: Replayer, *, kind: str, detail: str,
              core_id: int | None = None, chunk: int | None = None,
              addr: int | None = None, expected: int | None = None,
              observed: int | None = None) -> None:
-    """Assemble forensics and raise, mirroring the mismatch to the tracer.
-
-    ``replayer`` may be a bare variant name (legacy call shape): the report
-    then carries attribution but no interval bounds or trace history.
-    """
-    checkpoint = hb_slice = inspect_hint = None
-    if isinstance(replayer, str):
-        variant, tracer, bounds = replayer, None, None
-    else:
-        variant = replayer.variant
-        tracer = replayer.tracer
-        bounds = (replayer.interval_bounds(core_id, chunk)
-                  if core_id is not None and chunk is not None else None)
-        if core_id is not None and chunk is not None:
-            inspect_hint = (
-                f"python -m repro.tools inspect <run.json> "
-                f"--variant {variant} --state-at {core_id}:{chunk} "
-                f"--hb-slice {core_id}:{chunk}")
-            graph = replayer.hb_graph
-            if graph is not None and graph.has_node((core_id, chunk)):
-                hb_slice = graph.slice((core_id, chunk))
-            store = replayer.checkpoint_store
-            position = replayer.index_of(core_id, chunk)
-            if store is not None and position is not None:
-                nearest = store.nearest(position + 1)
-                if nearest is not None:
-                    checkpoint = (nearest.checkpoint_id, nearest.position)
+    """Assemble forensics and raise, mirroring the mismatch to the tracer."""
+    variant, tracer = replayer.variant, replayer.tracer
+    bounds = checkpoint = hb_slice = inspect_hint = None
+    if core_id is not None and chunk is not None:
+        bounds = replayer.interval_bounds(core_id, chunk)
+        inspect_hint = (
+            f"python -m repro.tools inspect <run.json> "
+            f"--variant {variant} --state-at {core_id}:{chunk} "
+            f"--hb-slice {core_id}:{chunk}")
+        graph = replayer.hb_graph
+        if graph is not None and graph.has_node((core_id, chunk)):
+            hb_slice = graph.slice((core_id, chunk))
+        store = replayer.checkpoint_store
+        position = replayer.index_of(core_id, chunk)
+        if store is not None and position is not None:
+            nearest = store.nearest(position + 1)
+            if nearest is not None:
+                checkpoint = (nearest.checkpoint_id, nearest.position)
     if tracer is not None:
         tracer.emit(DivergenceEvent(
             cycle=bounds[1] if bounds else 0,
@@ -371,7 +425,7 @@ def _diverge(replayer: "Replayer | str", *, kind: str, detail: str,
 
 
 def _verify_memory(replayed: dict[int, int], recorded: dict[int, int],
-                   replayer: "Replayer | str") -> None:
+                   replayer: Replayer) -> None:
     replayed_nz = {addr: value for addr, value in replayed.items() if value}
     if replayed_nz == recorded:
         return
@@ -379,7 +433,7 @@ def _verify_memory(replayed: dict[int, int], recorded: dict[int, int],
         got = replayed_nz.get(addr, 0)
         want = recorded.get(addr, 0)
         if got != want:
-            writer = getattr(replayed, "writers", {}).get(addr)
+            writer = replayed.writers.get(addr)
             core_id, chunk = writer if writer is not None else (None, None)
             _diverge(replayer, kind="memory",
                      detail=f"memory diverged at {addr:#x}: "
@@ -388,9 +442,13 @@ def _verify_memory(replayed: dict[int, int], recorded: dict[int, int],
                      expected=want, observed=got)
 
 
-def _verify_registers(contexts: list[ThreadContext], result: RunResult,
-                      replayer: "Replayer | str") -> None:
-    for context, core in zip(contexts, result.cores):
+def _verify_registers(contexts: list[ThreadContext], recording,
+                      replayer: Replayer) -> None:
+    if len(recording.cores) != len(contexts):
+        raise LogFormatError(
+            f"recording holds the final state of {len(recording.cores)} "
+            f"cores, the replay ran {len(contexts)}")
+    for context, core in zip(contexts, recording.cores):
         if context.instructions_executed != core.instructions:
             _diverge(replayer, kind="instruction-count",
                      detail=f"core {core.core_id}: replayed "
@@ -410,25 +468,21 @@ def _verify_registers(contexts: list[ThreadContext], result: RunResult,
                      core_id=core.core_id)
 
 
-def _verify_load_trace(contexts: list[ThreadContext], result: RunResult,
-                       replayer: "Replayer | str") -> None:
-    for context, recorded in zip(contexts, result.load_trace):
-        recorded_values = [value for _seq, _addr, value in
-                           sorted(recorded, key=lambda item: item[0])]
-        if context.load_values != recorded_values:
-            recorded_addrs = [addr for _seq, addr, _value in
-                              sorted(recorded, key=lambda item: item[0])]
-            for index, (got, want) in enumerate(
-                    zip(context.load_values, recorded_values)):
-                if got != want:
-                    _diverge(replayer, kind="load-trace",
-                             detail=f"core {context.core_id}: load #{index} "
-                                    f"replayed {got:#x}, recorded {want:#x}",
-                             core_id=context.core_id,
-                             addr=recorded_addrs[index],
-                             expected=want, observed=got)
-            _diverge(replayer, kind="load-trace",
-                     detail=f"core {context.core_id}: load count mismatch "
-                            f"({len(context.load_values)} vs "
-                            f"{len(recorded_values)})",
-                     core_id=context.core_id)
+def _verify_load_trace(contexts: list[ThreadContext], recording,
+                       replayer: Replayer) -> None:
+    for context, recorded in zip(contexts, recording.load_trace):
+        recorded = sorted(recorded, key=lambda item: item[0])
+        if context.load_values == [value for _seq, _addr, value in recorded]:
+            continue
+        for index, (got, (_seq, addr, want)) in enumerate(
+                zip(context.load_values, recorded)):
+            if got != want:
+                _diverge(replayer, kind="load-trace",
+                         detail=f"core {context.core_id}: load #{index} "
+                                f"replayed {got:#x}, recorded {want:#x}",
+                         core_id=context.core_id, addr=addr,
+                         expected=want, observed=got)
+        _diverge(replayer, kind="load-trace",
+                 detail=f"core {context.core_id}: load count mismatch "
+                        f"({len(context.load_values)} vs {len(recorded)})",
+                 core_id=context.core_id)

@@ -93,6 +93,20 @@ class RunResult:
         return sum(core.instructions for core in self.cores)
 
     @property
+    def variants(self) -> tuple[str, ...]:
+        """Recorder variant names in sorted order (the first is the
+        default replay and inspect target)."""
+        return tuple(sorted(self.recordings))
+
+    def log_entries(self, variant: str) -> list[list[LogEntry]]:
+        """One variant's interval log per core."""
+        return [output.entries for output in self.recordings[variant]]
+
+    def recorder_config(self, variant: str) -> RecorderConfig:
+        """The recorder configuration one variant's logs were made with."""
+        return self.recordings[variant][0].config
+
+    @property
     def total_mem_instructions(self) -> int:
         return sum(core.mem_instructions for core in self.cores)
 

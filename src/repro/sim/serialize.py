@@ -42,6 +42,7 @@ __all__ = [
     "metrics_snapshot_to_dict", "metrics_snapshot_from_dict",
     "thread_context_to_dict", "thread_context_from_dict",
     "run_result_to_dict", "run_result_from_dict",
+    "check_type", "check_keys", "check_edge_rows",
 ]
 
 #: Bumped whenever the wire format changes; part of the cache key salt.
@@ -213,10 +214,11 @@ def _recorder_output_to_dict(output: RecorderOutput) -> dict:
     }
 
 
-def _recorder_output_from_dict(data: dict) -> RecorderOutput:
+def _recorder_output_from_dict(data: dict, path: str) -> RecorderOutput:
     from ..storage import config_from_dict
 
-    config = config_from_dict(RecorderConfig, data["config"])
+    config = config_from_dict(RecorderConfig, data["config"],
+                              f"{path}.config")
     entries = decode_log(base64.b64decode(data["log"]), data["bit_length"],
                          config)
     return RecorderOutput(
@@ -315,21 +317,33 @@ def _json_type(value) -> str:
     return _JSON_TYPE_NAMES.get(type(value), type(value).__name__)
 
 
-def _check_type(value, types: tuple, path: str) -> None:
+def check_type(value, types: tuple, path: str) -> None:
+    """Raise :class:`LogFormatError` naming ``path`` unless ``value`` has
+    one of the JSON ``types`` (``bool`` is not an ``int`` here)."""
     if type(value) not in types:
         expected = " or ".join(_JSON_TYPE_NAMES[kind] for kind in types)
         raise LogFormatError(
             f"{path} must be {expected}, got {_json_type(value)}")
 
 
-def _check_keys(data, keys: dict, path: str) -> None:
+def check_keys(data, keys: dict, path: str) -> None:
     """Raise :class:`LogFormatError` naming the first key of ``keys`` that
     the object at ``path`` lacks or holds with the wrong JSON type."""
-    _check_type(data, (dict,), path)
+    check_type(data, (dict,), path)
     for key, types in keys.items():
         if key not in data:
             raise LogFormatError(f"{path} is missing key {key!r}")
-        _check_type(data[key], types, f"{path}.{key}")
+        check_type(data[key], types, f"{path}.{key}")
+
+
+def check_edge_rows(rows, path: str) -> None:
+    """Check serialized dependence edges: an array of 4-integer arrays."""
+    check_type(rows, (list,), path)
+    for index, row in enumerate(rows):
+        if (type(row) is not list or len(row) != 4
+                or any(type(value) is not int for value in row)):
+            raise LogFormatError(
+                f"{path}[{index}] must be an array of 4 integers")
 
 
 def _check_run_result(data) -> None:
@@ -348,30 +362,25 @@ def _check_run_result(data) -> None:
     for key, types in _RUN_RESULT_KEYS.items():
         if key not in data:
             raise LogFormatError(f"run result is missing key {key!r}")
-        _check_type(data[key], types, f"run result key {key!r}")
+        check_type(data[key], types, f"run result key {key!r}")
     for index, core in enumerate(data["cores"]):
-        _check_keys(core, _CORE_KEYS, f"cores[{index}]")
+        check_keys(core, _CORE_KEYS, f"cores[{index}]")
     for name, outputs in data["recordings"].items():
-        _check_type(outputs, (list,), f"recordings.{name}")
+        check_type(outputs, (list,), f"recordings.{name}")
         for index, output in enumerate(outputs):
-            _check_keys(output, _RECORDING_KEYS,
-                        f"recordings.{name}[{index}]")
+            check_keys(output, _RECORDING_KEYS,
+                       f"recordings.{name}[{index}]")
     for name, rows in data["dependence_edges"].items():
-        _check_type(rows, (list,), f"dependence_edges.{name}")
-        for index, row in enumerate(rows):
-            if (type(row) is not list or len(row) != 4
-                    or any(type(value) is not int for value in row)):
-                raise LogFormatError(
-                    f"dependence_edges.{name}[{index}] must be an array of "
-                    f"4 integers")
+        check_edge_rows(rows, f"dependence_edges.{name}")
 
 
 def run_result_from_dict(data: dict) -> RunResult:
     """Rebuild a :class:`RunResult` written by :func:`run_result_to_dict`.
 
     A key that is missing or of the wrong JSON type — at the top level, in
-    a ``cores`` or ``recordings`` entry, or a ``dependence_edges`` value —
-    raises :class:`LogFormatError` naming its path.
+    a ``cores`` or ``recordings`` entry, a ``dependence_edges`` value or a
+    machine or recorder config field — raises :class:`LogFormatError`
+    naming its path.
     """
     from ..storage import config_from_dict, program_from_dict
 
@@ -379,11 +388,13 @@ def run_result_from_dict(data: dict) -> RunResult:
     load_trace = data["load_trace"]
     return RunResult(
         program=program_from_dict(data["program"]),
-        config=config_from_dict(MachineConfig, data["config"]),
+        config=config_from_dict(MachineConfig, data["config"], "config"),
         cycles=data["cycles"],
         cores=[_core_result_from_dict(core) for core in data["cores"]],
         recordings={
-            name: [_recorder_output_from_dict(output) for output in outputs]
+            name: [_recorder_output_from_dict(output,
+                                              f"recordings.{name}[{index}]")
+                   for index, output in enumerate(outputs)]
             for name, outputs in data["recordings"].items()},
         final_memory={int(addr): value
                       for addr, value in data["final_memory"].items()},

@@ -17,13 +17,17 @@ The interval logs are stored in the recorder's binary format
 size.  :func:`load_recording` reconstructs everything needed to replay —
 including the verification state, so a replay of a loaded recording is
 checked bit-exactly against the original execution even in a fresh process.
+The manifest is untrusted input: a missing or wrongly typed key, down to
+each config field, raises :class:`LogFormatError` naming its path.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 from .common.config import (
     CoherenceProtocol,
@@ -43,9 +47,10 @@ from .isa.instructions import AluOp, Instruction, Opcode, RmwOp
 from .isa.program import Program, ThreadProgram
 from .recorder.logfmt import decode_log, encode_log
 from .recorder.ordering import IntervalEdge
-from .replay.costmodel import estimate_replay_time
-from .replay.replayer import ReplayResult, Replayer, _verify_memory
+from .replay.replayer import (ReplayResult, Replayer, pick_variant,
+                              verify_and_cost)
 from .sim.machine import RunResult
+from .sim.serialize import check_edge_rows, check_keys, check_type
 
 __all__ = ["save_program", "load_program", "save_recording",
            "load_recording", "StoredRecording", "FORMAT_VERSION",
@@ -185,12 +190,13 @@ def load_program(path: str | Path) -> Program:
 
 # --------------------------------------------------------------- config
 
-def _config_to_dict(config) -> dict:
+def config_to_dict(config) -> dict:
+    """JSON-able dict of any config dataclass (enums by value)."""
     out = {}
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
         if dataclasses.is_dataclass(value):
-            out[field.name] = _config_to_dict(value)
+            out[field.name] = config_to_dict(value)
         elif isinstance(value, (ConsistencyModel, RecorderMode,
                                 CoherenceProtocol)):
             out[field.name] = value.value
@@ -204,30 +210,53 @@ _NESTED = {"core": CoreConfig, "l1": L1Config, "l2": L2Config,
            "recorder": RecorderConfig, "replay_cost": ReplayCostConfig}
 _ENUM_FIELDS = {"consistency": ConsistencyModel, "protocol": CoherenceProtocol,
                 "mode": RecorderMode}
+#: The JSON types a config field of each annotated type may hold.
+_FIELD_TYPES = {"int": (int,), "float": (float, int), "bool": (bool,),
+                "int | None": (int, type(None))}
 
 
-def _config_from_dict(cls, data: dict):
+def _config_row(field) -> tuple:
+    """One field's ``(name, JSON types, decode)`` row, where
+    ``decode(value, path)`` builds a nested config or an enum member."""
+    if field.name in _NESTED:
+        nested = _NESTED[field.name]
+        return (field.name, (dict,),
+                lambda value, path: config_from_dict(nested, value, path))
+    if field.name in _ENUM_FIELDS:
+        members = {member.value: member for member in _ENUM_FIELDS[field.name]}
+
+        def decode(value, path):
+            if value not in members:
+                raise LogFormatError(
+                    f"{path} has unknown value {value!r}; expected one of "
+                    f"{', '.join(members)}")
+            return members[value]
+        return field.name, (str,), decode
+    return field.name, _FIELD_TYPES[field.type], None
+
+
+#: The field table of each config class.
+_CONFIG_TABLES = {cls: [_config_row(field) for field in dataclasses.fields(cls)]
+                  for cls in (MachineConfig, *_NESTED.values())}
+
+
+def config_from_dict(cls, data: dict, path: str = "config"):
+    """Rebuild a config dataclass written by :func:`config_to_dict`.
+
+    A non-object config, a field of the wrong JSON type or an unknown enum
+    value raises :class:`LogFormatError` naming its path below ``path``,
+    e.g. ``config.l1.assoc``; keys the class lacks are ignored.
+    """
+    check_type(data, (dict,), path)
     kwargs = {}
-    for field in dataclasses.fields(cls):
-        if field.name not in data:
-            continue
-        value = data[field.name]
-        if field.name in _NESTED and isinstance(value, dict):
-            value = _config_from_dict(_NESTED[field.name], value)
-        elif field.name in _ENUM_FIELDS and isinstance(value, str):
-            value = _ENUM_FIELDS[field.name](value)
-        kwargs[field.name] = value
+    for name, types, decode in _CONFIG_TABLES[cls]:
+        if name in data:
+            value = data[name]
+            if type(value) not in types:
+                check_type(value, types, f"{path}.{name}")
+            kwargs[name] = (value if decode is None
+                            else decode(value, f"{path}.{name}"))
     return cls(**kwargs)
-
-
-def config_to_dict(config) -> dict:
-    """JSON-able dict of any config dataclass (enums by value)."""
-    return _config_to_dict(config)
-
-
-def config_from_dict(cls, data: dict):
-    """Rebuild a config dataclass written by :func:`config_to_dict`."""
-    return _config_from_dict(cls, data)
 
 
 # ------------------------------------------------------------ recordings
@@ -249,7 +278,7 @@ def save_recording(result: RunResult, path: str | Path) -> Path:
             log_path.write_bytes(data)
             cores.append({"core_id": output.core_id, "bit_length": bits})
         variants[name] = {
-            "recorder_config": _config_to_dict(outputs[0].config),
+            "recorder_config": config_to_dict(outputs[0].config),
             "cores": cores,
         }
 
@@ -264,7 +293,7 @@ def save_recording(result: RunResult, path: str | Path) -> Path:
 
     manifest = {
         "format_version": FORMAT_VERSION,
-        "config": _config_to_dict(result.config),
+        "config": config_to_dict(result.config),
         "cycles": result.cycles,
         "bus_transactions": result.bus_transactions,
         "variants": variants,
@@ -284,32 +313,86 @@ def save_recording(result: RunResult, path: str | Path) -> Path:
     return root
 
 
+#: The JSON types of each key of ``manifest.json`` (after the version).
+_MANIFEST_KEYS = {"config": (dict,), "cycles": (int,),
+                  "bus_transactions": (int,), "variants": (dict,),
+                  "edges": (dict,), "verification": (dict,)}
+_VARIANT_KEYS = {"recorder_config": (dict,), "cores": (list,)}
+_LOG_KEYS = {"core_id": (int,), "bit_length": (int,)}
+_VERIFICATION_KEYS = {"final_memory": (dict,), "cores": (list,)}
+_VERIFIED_CORE_KEYS = {"core_id": (int,), "instructions": (int,),
+                       "final_regs": (list,)}
+
+
+def _check_manifest(manifest) -> None:
+    """Check every key of a manifest against the tables above; the first
+    mismatch raises :class:`LogFormatError` naming its path, e.g.
+    ``manifest.variants.opt_4096.cores[0].bit_length``."""
+    check_keys(manifest, _MANIFEST_KEYS, "manifest")
+    for name, meta in manifest["variants"].items():
+        where = f"manifest.variants.{name}"
+        check_keys(meta, _VARIANT_KEYS, where)
+        for index, core in enumerate(meta["cores"]):
+            check_keys(core, _LOG_KEYS, f"{where}.cores[{index}]")
+    for name, count in manifest["edges"].items():
+        check_type(count, (int,), f"manifest.edges.{name}")
+    check_keys(manifest["verification"], _VERIFICATION_KEYS,
+               "manifest.verification")
+    for index, core in enumerate(manifest["verification"]["cores"]):
+        check_keys(core, _VERIFIED_CORE_KEYS,
+                   f"manifest.verification.cores[{index}]")
+
+
 class StoredRecording:
-    """A recording loaded from disk; replayable and self-verifying."""
+    """A recording loaded from disk; replayable and self-verifying.
+
+    It offers the replay engine what a :class:`RunResult` does:
+    ``program``, ``config``, ``cycles``, ``final_memory``, ``cores`` (each
+    core's ``core_id``, ``instructions`` and ``final_regs``),
+    ``load_trace`` (never stored, so None), ``dependence_edges``,
+    ``variants``, ``log_entries`` and ``recorder_config``.
+    """
+
+    load_trace = None
 
     def __init__(self, root: Path, manifest: dict, program: Program):
+        _check_manifest(manifest)
         self.root = root
         self.manifest = manifest
         self.program = program
-        self.config = _config_from_dict(MachineConfig, manifest["config"])
+        self.config = config_from_dict(MachineConfig, manifest["config"],
+                                       "manifest.config")
         self.cycles = manifest["cycles"]
+        verification = manifest["verification"]
         self.final_memory = {int(addr): value for addr, value in
-                             manifest["verification"]["final_memory"].items()}
-        self.core_facts = manifest["verification"]["cores"]
+                             verification["final_memory"].items()}
+        self.cores = [SimpleNamespace(**core)
+                      for core in verification["cores"]]
+        self._recorder_configs = {
+            name: config_from_dict(
+                RecorderConfig, meta["recorder_config"],
+                f"manifest.variants.{name}.recorder_config")
+            for name, meta in manifest["variants"].items()}
 
     @property
     def variants(self) -> tuple[str, ...]:
-        return tuple(self.manifest["variants"])
+        """Recorder variant names in sorted order (the first is the
+        default replay and inspect target)."""
+        return tuple(sorted(self.manifest["variants"]))
+
+    @property
+    def total_instructions(self) -> int:
+        return sum(core.instructions for core in self.cores)
+
+    def recorder_config(self, variant: str) -> RecorderConfig:
+        """The recorder configuration one variant's logs were made with."""
+        return self._recorder_configs[pick_variant(self, variant)]
 
     def log_entries(self, variant: str) -> list[list]:
-        try:
-            meta = self.manifest["variants"][variant]
-        except KeyError:
-            raise LogFormatError(
-                f"recording has no variant {variant!r}; available: "
-                f"{', '.join(self.variants)}")
-        recorder_config = _config_from_dict(RecorderConfig,
-                                            meta["recorder_config"])
+        """Decode one variant's interval log per core."""
+        variant = pick_variant(self, variant)
+        recorder_config = self._recorder_configs[variant]
+        meta = self.manifest["variants"][variant]
         per_core = []
         for core in sorted(meta["cores"], key=lambda c: c["core_id"]):
             data = (self.root / "logs" / variant /
@@ -319,61 +402,37 @@ class StoredRecording:
         return per_core
 
     def edges(self, variant: str) -> list[IntervalEdge]:
-        path = self.root / "edges" / f"{variant}.json"
-        if not path.exists():
+        """One variant's pairwise interval edges ([] if not collected)."""
+        if variant not in self.manifest["edges"]:
             return []
-        return [IntervalEdge(*row) for row in json.loads(path.read_text())]
+        rows = json.loads(
+            (self.root / "edges" / f"{variant}.json").read_text())
+        check_edge_rows(rows, f"edges/{variant}.json")
+        return [IntervalEdge(*row) for row in rows]
+
+    @cached_property
+    def dependence_edges(self) -> dict[str, list[IntervalEdge]]:
+        """Edges per variant that collected them (``record --edges``), as
+        in ``RunResult.dependence_edges``: a variant recorded without
+        edges is absent, one with zero edges maps to []."""
+        return {name: self.edges(name) for name in self.manifest["edges"]}
 
     def log_bits(self, variant: str) -> int:
         meta = self.manifest["variants"][variant]
         return sum(core["bit_length"] for core in meta["cores"])
 
-    def inspector(self, variant: str | None = None, *,
-                  checkpoint_every: int = 8):
-        """Time-travel :class:`~repro.obs.inspect.ReplayInspector` over one
-        stored variant (default: the first)."""
-        from .obs.inspect import ReplayInspector
-
-        return ReplayInspector.from_stored(
-            self, variant, checkpoint_every=checkpoint_every)
-
     def replay(self, variant: str, *, verify: bool = True) -> ReplayResult:
         """Replay a stored variant, verifying against the stored execution."""
-        meta = self.manifest["variants"][variant]
-        recorder_config = _config_from_dict(RecorderConfig,
-                                            meta["recorder_config"])
-        replayer = Replayer(self.program, self.log_entries(variant),
-                            cisn_bits=recorder_config.cisn_bits,
-                            variant=variant)
-        memory, contexts, counts = replayer.replay()
-        if verify:
-            _verify_memory(memory, self.final_memory, variant)
-            for context, facts in zip(contexts, self.core_facts):
-                if context.instructions_executed != facts["instructions"]:
-                    raise LogFormatError(
-                        f"[{variant}] core {facts['core_id']}: replayed "
-                        f"{context.instructions_executed} instructions, "
-                        f"manifest says {facts['instructions']}")
-                if context.regs != facts["final_regs"]:
-                    raise LogFormatError(
-                        f"[{variant}] core {facts['core_id']}: final "
-                        f"registers diverge from the stored execution")
-        total = sum(facts["instructions"] for facts in self.core_facts)
-        recorded_cpi = (self.cycles * len(self.core_facts) / total
-                        if total else 1.0)
-        time = estimate_replay_time(counts, self.config.replay_cost,
-                                    recorded_cpi=recorded_cpi)
-        return ReplayResult(
-            variant=variant, counts=counts, time=time,
-            final_memory={a: v for a, v in memory.items() if v},
-            final_regs=[list(c.regs) for c in contexts],
-            verified=verify)
+        replayer = Replayer.of(self, variant)
+        return verify_and_cost(self, replayer, *replayer.replay(),
+                               verify=verify)
 
 
 def load_recording(path: str | Path) -> StoredRecording:
     """Open a recording directory written by :func:`save_recording`."""
     root = Path(path)
     manifest = json.loads((root / "manifest.json").read_text())
+    check_type(manifest, (dict,), "manifest")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise LogFormatError(

@@ -40,7 +40,8 @@ from .obs.logging import LOG_LEVELS, get_logger, log_kv, setup_logging
 from .recorder.logfmt import IntervalFrame
 from .sim import Machine
 from .sim.kernel import KERNELS
-from .storage import load_program, load_recording, save_recording
+from .storage import (StoredRecording, load_program, load_recording,
+                      save_recording)
 from .workloads import WORKLOAD_NAMES, build_workload
 
 _LOG = get_logger("tools")
@@ -309,28 +310,37 @@ def _verify_replay(result, args, tracer) -> int:
     return code
 
 
+def open_recording(path):
+    """The one loader of ``replay`` and ``inspect``: a recording directory
+    (``record --out``) as a :class:`~repro.storage.StoredRecording`, any
+    other path as a serialized ``RunResult`` (``record --result-out``)."""
+    path = Path(path)
+    if path.is_dir():
+        return load_recording(path)
+    from .sim.serialize import run_result_from_dict
+    return run_result_from_dict(json.loads(path.read_text()))
+
+
 def cmd_replay(args) -> int:
-    stored = load_recording(args.recording)
-    variants = args.variant or list(stored.variants)
+    from .replay import parallel_replay_recording, replay_recording
+
+    recording = open_recording(args.recording)
+    variants = args.variant or recording.variants
+    if not variants:
+        raise LogFormatError(f"{args.recording} holds no variant to replay")
     for variant in variants:
         if args.parallel:
-            from .replay.parallel import ParallelReplayer
-            total = sum(f["instructions"] for f in stored.core_facts)
-            cpi = (stored.cycles * len(stored.core_facts) / total
-                   if total else 1.0)
-            replayer = ParallelReplayer(
-                stored.program, stored.log_entries(variant),
-                stored.edges(variant), stored.config.replay_cost,
-                recorded_cpi=cpi, variant=variant)
-            _memory, _contexts, counts, sequential, makespan = \
-                replayer.replay()
-            print(f"{variant}: parallel replay OK "
-                  f"({counts.intervals} intervals, "
-                  f"speedup {sequential / makespan:.2f}x)")
+            result = parallel_replay_recording(recording, variant,
+                                               verify=not args.no_verify)
+            status = "VERIFIED" if result.verified else "unverified"
+            print(f"{variant}: parallel replay OK, {status} "
+                  f"({result.counts.intervals} intervals, {result.edges} "
+                  f"edges, speedup {result.speedup:.2f}x)")
             continue
-        result = stored.replay(variant, verify=not args.no_verify)
+        result = replay_recording(recording, variant,
+                                  verify=not args.no_verify)
         status = "VERIFIED" if result.verified else "replayed (unverified)"
-        normalized = result.normalized_to_recording(stored.cycles)
+        normalized = result.normalized_to_recording(recording.cycles)
         print(f"{variant}: {status} — {result.counts.instructions} native "
               f"instructions, {result.counts.injected_loads} injected "
               f"loads, {result.counts.patched_writes} patched writes; "
@@ -397,21 +407,13 @@ def cmd_inspect(args) -> int:
     queries = any(value is not None for value in (
         args.state_at, args.first_write, args.last_write, args.who_read,
         args.timeline, args.hb_slice))
-    path = Path(args.recording)
-    if path.is_dir():
-        stored = load_recording(path)
-        if not queries and not args.json:
-            return _summarize_directory(stored, args)
-        inspector = stored.inspector(args.variant,
-                                     checkpoint_every=args.checkpoint_every)
-    else:
-        from .obs.inspect import ReplayInspector
-        from .sim.serialize import run_result_from_dict
+    recording = open_recording(args.recording)
+    if isinstance(recording, StoredRecording) and not (queries or args.json):
+        return _summarize_directory(recording, args)
+    from .obs.inspect import ReplayInspector
 
-        result = run_result_from_dict(json.loads(path.read_text()))
-        variant = args.variant or sorted(result.recordings)[0]
-        inspector = ReplayInspector.from_run_result(
-            result, variant, checkpoint_every=args.checkpoint_every)
+    inspector = ReplayInspector(recording, args.variant,
+                                checkpoint_every=args.checkpoint_every)
 
     payload: dict = {"summary": inspector.summary()}
     blocks: list[str] = []
@@ -1001,7 +1003,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print log profiles and interval timelines "
                               "(directory summaries only)")
     inspect.add_argument("--variant", default=None,
-                         help="recorder variant to inspect (default: first)")
+                         help="recorder variant to inspect (default: the "
+                              "first in sorted order)")
     _add_checkpoint_every(inspect)
     inspect.add_argument("--json", action="store_true",
                          help="emit one sorted JSON object instead of "

@@ -28,7 +28,7 @@ def sb_result():
 
 @pytest.fixture(scope="module")
 def inspector(sb_result):
-    return ReplayInspector.from_run_result(sb_result, checkpoint_every=2)
+    return ReplayInspector(sb_result, checkpoint_every=2)
 
 
 class TestConstruction:
@@ -46,7 +46,7 @@ class TestConstruction:
 
     def test_bad_checkpoint_cadence_rejected(self, sb_result):
         with pytest.raises(ValueError):
-            ReplayInspector.from_run_result(sb_result, checkpoint_every=0)
+            ReplayInspector(sb_result, checkpoint_every=0)
 
 
 class TestStateQueries:
@@ -144,12 +144,11 @@ class TestStoredRecordings:
     def test_inspector_from_stored_recording(self, sb_result, tmp_path):
         root = save_recording(sb_result, tmp_path / "rec")
         stored = load_recording(root)
-        inspector = stored.inspector(checkpoint_every=2)
+        inspector = ReplayInspector(stored, checkpoint_every=2)
         assert inspector.variant == stored.variants[0]
         assert inspector.final_memory == stored.final_memory
         assert inspector.summary()["hb_source"] == "edges"
-        live = ReplayInspector.from_run_result(sb_result,
-                                              checkpoint_every=2)
+        live = ReplayInspector(sb_result, checkpoint_every=2)
         assert inspector.summary() == live.summary()
 
     def test_inspector_unknown_variant(self, sb_result, tmp_path):
@@ -157,5 +156,5 @@ class TestStoredRecordings:
 
         root = save_recording(sb_result, tmp_path / "rec")
         stored = load_recording(root)
-        with pytest.raises(LogFormatError):
-            stored.inspector("nope")
+        with pytest.raises(LogFormatError, match="available: default"):
+            ReplayInspector(stored, "nope")

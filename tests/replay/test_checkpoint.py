@@ -128,8 +128,7 @@ class TestCheckpointSemantics:
 
     def test_checkpoint_json_round_trip(self):
         result = _record("MP", "RC")
-        inspector = ReplayInspector.from_run_result(result,
-                                                    checkpoint_every=2)
+        inspector = ReplayInspector(result, checkpoint_every=2)
         for checkpoint in inspector.checkpoints.checkpoints:
             clone = ReplayCheckpoint.from_dict(checkpoint.to_dict())
             assert clone == checkpoint

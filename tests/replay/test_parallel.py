@@ -4,9 +4,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.common.config import MachineConfig, RecorderConfig, RecorderMode
-from repro.common.errors import ConfigError, LogFormatError
-from repro.replay import replay_recording
-from repro.replay.parallel import ParallelReplayer, parallel_replay_recording
+from dataclasses import replace
+
+from repro.common.errors import (ConfigError, LogFormatError,
+                                 ReplayDivergenceError)
+from repro.replay import Replayer, replay_recording
+from repro.replay.parallel import parallel_replay_recording
 from repro.sim import Machine
 from repro.workloads import build_workload, random_program
 
@@ -63,16 +66,38 @@ class TestParallelReplay:
 
     def test_cycle_detection(self, recording):
         from repro.recorder.ordering import IntervalEdge
-        outputs = recording.recordings["opt_256"]
         edges = list(recording.dependence_edges["opt_256"])
         # Fabricate a 2-cycle between the first intervals of cores 0 and 1.
         edges.append(IntervalEdge(0, 0, 1, 0))
         edges.append(IntervalEdge(1, 0, 0, 0))
-        replayer = ParallelReplayer(
-            recording.program, [o.entries for o in outputs], edges,
-            recording.config.replay_cost)
-        with pytest.raises(LogFormatError):
-            replayer.replay()
+        cyclic = replace(recording, dependence_edges={"opt_256": edges})
+        with pytest.raises(LogFormatError, match="cycle"):
+            parallel_replay_recording(cyclic, "opt_256")
+
+    def test_divergence_report_names_the_culprit_chunk(self, recording):
+        """A parallel divergence carries the same forensics as a
+        sequential one: culprit core and chunk, its recorded cycles, its
+        happens-before slice and a ready-to-run inspect command."""
+        memory, _contexts, _counts = Replayer.of(recording,
+                                                 "opt_256").replay()
+        addr = min(memory.writers)
+        final_memory = dict(recording.final_memory)
+        final_memory[addr] = final_memory.get(addr, 0) ^ 1
+        tampered = replace(recording, final_memory=final_memory)
+        with pytest.raises(ReplayDivergenceError) as parallel:
+            parallel_replay_recording(tampered, "opt_256")
+        with pytest.raises(ReplayDivergenceError) as sequential:
+            replay_recording(tampered, "opt_256")
+        report = parallel.value.report
+        assert report.kind == "memory" and report.addr == addr
+        assert (report.core_id, report.chunk) == memory.writers[addr]
+        assert (report.core_id, report.chunk) == (
+            sequential.value.report.core_id, sequential.value.report.chunk)
+        assert report.interval_start is not None
+        assert report.interval_end is not None
+        assert report.hb_slice.source == "edges"
+        assert (f"--state-at {report.core_id}:{report.chunk}"
+                in report.inspect_hint)
 
     def test_directory_mode_rejects_edge_collection(self):
         from dataclasses import replace

@@ -70,11 +70,11 @@ class TestDivergenceDetection:
         logs = [list(output.entries) for output in outputs]
         mutate(logs)
         replayer = Replayer(recording.program, logs, variant=variant)
-        memory, contexts, _counts = replayer.replay()
-        # Re-run the library verification helpers manually.
-        from repro.replay.replayer import _verify_memory, _verify_registers
-        _verify_memory(memory, recording.final_memory, variant)
-        _verify_registers(contexts, recording, variant)
+        memory, contexts, counts = replayer.replay()
+        # Re-run the library verification step manually.
+        from repro.replay.replayer import verify_and_cost
+        verify_and_cost(recording, replayer, memory, contexts, counts,
+                        verify_load_trace=False)
 
     def test_corrupted_load_value_detected(self, racy_recording):
         def mutate(logs):

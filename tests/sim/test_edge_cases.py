@@ -102,9 +102,10 @@ class TestRecorderEdges:
 
 
 class TestReplayEdges:
-    def test_unknown_variant_keyerror(self):
+    def test_unknown_variant_is_a_log_format_error(self):
+        from repro.common.errors import LogFormatError
         result = single(lambda b: b.nop(2))
-        with pytest.raises(KeyError):
+        with pytest.raises(LogFormatError, match="available: default"):
             replay_recording(result, "nonesuch")
 
     def test_parallel_replay_single_core(self):
@@ -116,21 +117,20 @@ class TestReplayEdges:
 
     def test_replay_cost_zero_interval_duration_clamped(self):
         from repro.common.config import ReplayCostConfig
-        from repro.replay.parallel import ParallelReplayer
         result = single(lambda b: b.nop(3), collect_dependence_edges=True)
-        cost = ReplayCostConfig(interval_dispatch_cycles=0,
+        # Every OS cost zero and user time next to nothing (validate()
+        # wants a positive CPI), so each interval costs under one cycle.
+        cost = ReplayCostConfig(user_cpi=1e-9,
+                                interval_dispatch_cycles=0,
                                 inorder_block_interrupt_cycles=0,
                                 block_flush_user_cycles=0,
                                 reordered_load_cycles=0,
                                 reordered_store_cycles=0,
                                 dummy_entry_cycles=0)
-        # zero validate() passes (non-negative) except dispatch... all >=0 OK
-        outputs = result.recordings["default"]
-        replayer = ParallelReplayer(result.program,
-                                    [o.entries for o in outputs],
-                                    [], cost, recorded_cpi=0.0)
-        _m, _c, _counts, sequential, makespan = replayer.replay()
-        assert makespan >= 1.0  # durations clamp to >= 1 cycle
+        free = replace(result, config=replace(result.config,
+                                              replay_cost=cost))
+        parallel = parallel_replay_recording(free, "default")
+        assert parallel.makespan_cycles >= 1.0  # durations clamp to >= 1
 
 
 class TestProtocolParity:

@@ -2,6 +2,7 @@
 failure paths, the time-travel inspect queries, and stable JSON output."""
 
 import json
+import shutil
 
 import pytest
 
@@ -24,6 +25,34 @@ def run_json(tmp_path_factory):
                  "--out", str(rec), "--result-out", str(out)])
     assert code == 0
     return {"run": out, "rec": rec, "root": root}
+
+
+@pytest.fixture(scope="module")
+def two_variants(tmp_path_factory):
+    """The SB run recorded under two variants, without edges, both as a
+    directory and as a ``--result-out`` file."""
+    root = tmp_path_factory.mktemp("cli2")
+    program_path = root / "sb.json"
+    save_program(litmus_program(LITMUS_TESTS["SB"], staggers=(0, 3)),
+                 program_path)
+    code = main(["record", "--program", str(program_path),
+                 "--consistency", "TSO", "--variants", "opt_4096",
+                 "base_inf", "--out", str(root / "rec"),
+                 "--result-out", str(root / "run.json")])
+    assert code == 0
+    return {"run": root / "run.json", "rec": root / "rec"}
+
+
+def _tampered(rec, tmp_path, mutate):
+    """A copy of the recording directory ``rec`` whose parsed manifest
+    went through ``mutate``."""
+    copy = tmp_path / "tampered"
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(rec, copy)
+    manifest = json.loads((copy / "manifest.json").read_text())
+    mutate(manifest)
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    return copy
 
 
 class TestInspectQueries:
@@ -68,6 +97,19 @@ class TestInspectQueries:
         out = capsys.readouterr().out
         assert "recording:" in out
         assert "litmus_SB" in out
+
+    def test_directory_and_run_file_default_to_the_same_variant(
+            self, two_variants, capsys):
+        """Both forms default to the first variant in sorted order and
+        print the same document."""
+        assert main(["inspect", str(two_variants["rec"]), "--json",
+                     "--state-at", "0:0", "--hb-slice", "1:0"]) == 0
+        from_dir = capsys.readouterr().out
+        assert main(["inspect", str(two_variants["run"]), "--json",
+                     "--state-at", "0:0", "--hb-slice", "1:0"]) == 0
+        from_file = capsys.readouterr().out
+        assert from_dir == from_file
+        assert json.loads(from_dir)["summary"]["variant"] == "base_inf"
 
     def test_who_read_value_filter(self, run_json, capsys):
         assert main(["inspect", str(run_json["run"]),
@@ -159,6 +201,86 @@ class TestFailureExitCodes:
                      "--variant", "nope", "--state-at", "0:0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_variant_names_the_available_ones(self, run_json,
+                                                      capsys):
+        for path in (run_json["run"], run_json["rec"]):
+            assert main(["replay", str(path), "--variant", "nope"]) == 2
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1, err
+            assert "'nope'" in err and "available: opt_4096" in err
+
+    def test_malformed_manifest(self, run_json, tmp_path, capsys):
+        """Each malformed manifest makes both replay and inspect exit 2
+        with one error line naming the bad key's path."""
+        variant = "opt_4096"
+
+        def setter(*path, value):
+            def mutate(manifest):
+                parent = manifest
+                for step in path[:-1]:
+                    parent = parent[step]
+                if value is None:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = value
+            return mutate
+
+        cases = [
+            ("manifest.cycles", setter("cycles", value="x")),
+            ("manifest.verification.cores",
+             setter("verification", "cores", value=5)),
+            ("manifest.variants", setter("variants", value=[])),
+            (f"manifest.variants.{variant}.cores[0].bit_length",
+             setter("variants", variant, "cores", 0, "bit_length",
+                    value="9")),
+            (f"manifest.variants.{variant}.recorder_config",
+             setter("variants", variant, "recorder_config", value=3)),
+            (f"manifest.variants.{variant}.recorder_config.cisn_bits",
+             setter("variants", variant, "recorder_config", "cisn_bits",
+                    value="x")),
+            ("manifest.verification.final_memory",
+             setter("verification", "final_memory", value=[1])),
+            ("manifest is missing key 'verification'",
+             setter("verification", value=None)),
+            ("manifest.config", setter("config", value=[])),
+            ("manifest.config.l1", setter("config", "l1", value=[1])),
+            ("manifest.config.consistency has unknown value 'XYZ'",
+             setter("config", "consistency", value="XYZ")),
+            ("manifest.edges.opt_4096", setter("edges", variant, value="2")),
+        ]
+        for where, mutate in cases:
+            bad = _tampered(run_json["rec"], tmp_path, mutate)
+            for argv in (["replay", str(bad)], ["inspect", str(bad)]):
+                assert main(argv) == 2, (where, argv)
+                err = capsys.readouterr().err
+                assert err.count("error:") == 1, err
+                assert where in err, err
+
+    def test_malformed_run_result_config(self, run_json, tmp_path, capsys):
+        good = json.loads(run_json["run"].read_text())
+        variant = sorted(good["recordings"])[0]
+        cases = [
+            ("config.l1", ("config", "l1"), [1]),
+            ("config.num_cores", ("config", "num_cores"), "2"),
+            ("config.recorder.mode has unknown value 'fast'",
+             ("config", "recorder", "mode"), "fast"),
+            (f"recordings.{variant}[0].config.cisn_bits",
+             ("recordings", variant, 0, "config"), {"cisn_bits": "x"}),
+        ]
+        bad = tmp_path / "bad.json"
+        for where, path, value in cases:
+            data = json.loads(json.dumps(good))
+            parent = data
+            for step in path[:-1]:
+                parent = parent[step]
+            parent[path[-1]] = value
+            bad.write_text(json.dumps(data))
+            for argv in (["inspect", str(bad)], ["replay", str(bad)]):
+                assert main(argv) == 2, (where, argv)
+                err = capsys.readouterr().err
+                assert err.count("error:") == 1, err
+                assert where in err, err
+
     def test_record_needs_an_output(self, run_json, capsys):
         program_path = run_json["root"] / "sb.json"
         assert main(["record", "--program", str(program_path)]) == 2
@@ -184,3 +306,64 @@ class TestFailureExitCodes:
         code = main(["--log-level", "debug", "inspect",
                      str(tmp_path / "missing.json")])
         assert code == 2
+
+
+class TestReplayVerifiesEveryForm:
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_run_file_replays_and_verifies(self, run_json, capsys, parallel):
+        argv = ["replay", str(run_json["run"])]
+        assert main(argv + (["--parallel"] if parallel else [])) == 0
+        assert "VERIFIED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_flipped_final_memory_word_diverges(self, run_json, tmp_path,
+                                                capsys, parallel):
+        def flip(manifest):
+            memory = manifest["verification"]["final_memory"]
+            addr = min(memory, key=int)
+            memory[addr] ^= 1
+
+        bad = _tampered(run_json["rec"], tmp_path, flip)
+        argv = ["replay", str(bad)] + (["--parallel"] if parallel else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "replay divergence [opt_4096] memory" in err
+        assert "culprit: core" in err and "chunk" in err
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_flipped_final_register_diverges(self, run_json, tmp_path,
+                                             capsys, parallel):
+        def flip(manifest):
+            manifest["verification"]["cores"][1]["final_regs"][3] ^= 1
+
+        bad = _tampered(run_json["rec"], tmp_path, flip)
+        argv = ["replay", str(bad)] + (["--parallel"] if parallel else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "replay divergence [opt_4096] registers" in err
+        assert "culprit: core 1" in err
+
+    def test_nothing_to_verify_is_bad_input(self, run_json, tmp_path,
+                                            capsys):
+        """A manifest that verifies fewer cores than the log holds, or
+        holds no variant, is rejected instead of replayed with a core
+        unchecked or not replayed at all."""
+        def truncate(manifest):
+            del manifest["verification"]["cores"][1:]
+
+        def empty(manifest):
+            manifest["variants"] = {}
+
+        for mutate, message in ((truncate, "final state of 1 cores"),
+                                (empty, "no variant to replay")):
+            bad = _tampered(run_json["rec"], tmp_path, mutate)
+            assert main(["replay", str(bad)]) == 2, message
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1, err
+            assert message in err, err
+
+    def test_parallel_needs_edges(self, two_variants, capsys):
+        assert main(["replay", str(two_variants["rec"]), "--parallel"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1, err
+        assert "--edges" in err
