@@ -9,6 +9,7 @@ same API the SPLASH-2 analogs use), records it, and then dissects the log:
   (InorderBlocks, reordered entries, QuickRec timestamps),
 * runs the Section 3.3.2 patching pass and shows where reordered stores
   move,
+* summarizes the log's distributions and interval timeline,
 * replays and verifies.
 
 Run:  python examples/log_anatomy.py
@@ -16,6 +17,7 @@ Run:  python examples/log_anatomy.py
 
 from repro import Machine, MachineConfig, Program, RecorderConfig, RecorderMode
 from repro.isa import ThreadBuilder
+from repro.obs import LogSummary
 from repro.recorder import decode_log, encode_log
 from repro.replay import group_intervals, patch_intervals, replay_recording
 
@@ -89,13 +91,11 @@ def main() -> None:
         print(f"core {output.core_id}: {moved} store updates relocated, "
               f"{dummies} dummies left at counting positions")
 
-    print("\n=== analysis tooling (repro.analysis) ===")
-    from repro.analysis import (merge_profiles, profile_log, render_profile,
-                                render_timeline)
-    profile = merge_profiles(profile_log(output.entries, output.config)
-                             for output in outputs)
-    print(render_profile(profile, name="pipeline/base"), end="")
-    print(render_timeline([output.entries for output in outputs]), end="")
+    print("\n=== log summary (what `repro.tools inspect DIR -a` prints) ===")
+    summary = LogSummary.of([output.entries for output in outputs],
+                            outputs[0].config)
+    print(summary.render_profile("pipeline/base"), end="")
+    print(summary.render_timeline(), end="")
 
     replay = replay_recording(recording, "base")
     print(f"\nreplay VERIFIED; consumer checksum = "

@@ -8,7 +8,8 @@ the workflow:
 1. run a workload where each thread updates its own statistics counter,
    but the counters were allocated adjacently (classic false sharing) —
    invisible in the code, loud in the coherence traffic;
-2. record it and pull a contention report from the log: the hot line
+2. record it and ask the recorder's own statistics which lines cut the
+   intervals, and its dependence edges which cores talked: the hot line
    jumps out, attributed to the shared counter array;
 3. apply the textbook fix (pad each counter to its own line) and
    re-record: the coherence ping-pong disappears — conflict terminations
@@ -18,7 +19,6 @@ Run:  python examples/performance_debugging.py
 """
 
 from repro import Machine, MachineConfig, Program, RecorderConfig, RecorderMode
-from repro.analysis import analyze_contention, render_contention
 from repro.isa import ThreadBuilder
 from repro.workloads import Allocator
 
@@ -55,6 +55,15 @@ def build_program(padded: bool) -> tuple[Program, dict]:
         alloc.regions
 
 
+def region_of(line_addr: int, regions: dict, line_bytes: int) -> str | None:
+    """The allocator region (``{name: (base, words)}``) a line lies in."""
+    byte_addr = line_addr * line_bytes
+    for name, (base, words) in regions.items():
+        if base <= byte_addr < base + words * 8 + line_bytes:
+            return name
+    return None
+
+
 def record(program: Program):
     machine = Machine(MachineConfig(num_cores=THREADS), {
         "opt": RecorderConfig(mode=RecorderMode.OPT)})
@@ -70,21 +79,33 @@ def main() -> None:
           f"{recording.cycles} cycles; {stats.conflict_terminations} "
           f"conflict terminations, log {stats.log_bits} bits")
 
-    print("\n=== step 2: ask the log what the cores fought over ===")
-    report = analyze_contention(recording, "opt", regions=regions)
-    print(render_contention(report, top=3), end="")
-    top = report.top(1)[0]
-    print(f"-> line {top.line_addr:#x} in region {top.region!r} caused "
-          f"{top.terminations} of {report.total_terminations} terminations,"
+    print("\n=== step 2: ask the recording what the cores fought over ===")
+    line_bytes = recording.config.l1.line_bytes
+    hot = sorted(stats.conflict_lines.items(), key=lambda item: -item[1])
+    print("hottest lines:")
+    for line, count in hot[:3]:
+        region = region_of(line, regions, line_bytes)
+        print(f"  line {line:#08x}: {count} terminations"
+              + (f"  [{region}]" if region else ""))
+    edges: dict[tuple[int, int], int] = {}
+    for edge in recording.dependence_edges["opt"]:
+        pair = (edge.src_core, edge.dst_core)
+        edges[pair] = edges.get(pair, 0) + 1
+    print("dependence edges (src rows -> dst columns):")
+    for src in range(THREADS):
+        print(f"  c{src} " + " ".join(f"{edges.get((src, dst), 0):>5d}"
+                                      for dst in range(THREADS)))
+    line, count = hot[0]
+    print(f"-> line {line:#x} in region "
+          f"{region_of(line, regions, line_bytes)!r} caused {count} of "
+          f"{stats.conflict_terminations} terminations,"
           f"\n   yet every thread only touches its *own* counter: false "
           f"sharing.")
 
     print("\n=== step 3: pad the counters and re-record ===")
-    padded_program, padded_regions = build_program(padded=True)
+    padded_program, _ = build_program(padded=True)
     padded_recording = record(padded_program)
     padded_stats = padded_recording.recording_stats("opt")
-    padded_report = analyze_contention(padded_recording, "opt",
-                                       regions=padded_regions)
     print(f"recorded {padded_recording.total_instructions} instructions in "
           f"{padded_recording.cycles} cycles; "
           f"{padded_stats.conflict_terminations} conflict terminations, "
@@ -92,8 +113,7 @@ def main() -> None:
     saved = (1 - padded_stats.conflict_terminations
              / max(1, stats.conflict_terminations))
     shrink = stats.log_bits / max(1, padded_stats.log_bits)
-    remaining = (padded_report.top(1)[0].terminations
-                 if padded_report.hot_lines else 0)
+    remaining = max(padded_stats.conflict_lines.values(), default=0)
     print(f"\nconflict terminations down {saved:.0%}; the log shrank "
           f"{shrink:.0f}x; the hottest remaining line causes {remaining} "
           f"terminations.  The sharing was never needed — only the layout "

@@ -32,7 +32,8 @@ Sweep-scale additions (see ``docs/internals.md``):
   (:class:`ReplayInspector`), and the happens-before
   :class:`CausalityGraph` over recorded chunks with ancestor/slice
   queries — the engine behind ``repro.tools inspect`` and the
-  checkpoint/causal-cone fields of :class:`DivergenceReport`.
+  checkpoint/causal-cone fields of :class:`DivergenceReport` — and the
+  :class:`LogSummary` of a variant's logs that ``inspect DIR`` prints.
 """
 
 from .causality import CausalityGraph, HBSlice
@@ -64,6 +65,7 @@ from .forensics import DivergenceReport, build_report, raise_divergence
 from .inspect import (
     AccessLog,
     CheckpointStore,
+    LogSummary,
     MemoryAccess,
     ReplayCheckpoint,
     ReplayInspector,
@@ -138,6 +140,7 @@ __all__ = [
     "AccessLog",
     "StateView",
     "ReplayInspector",
+    "LogSummary",
     "TelemetryConfig",
     "TelemetryAggregator",
     "ShardTelemetry",

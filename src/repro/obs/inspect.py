@@ -23,12 +23,20 @@ CLI and the divergence forensics ride on:
 * ``timeline(core)`` — the per-chunk interval timeline of one core;
 * ``hb_slice(core, cisn)`` — the chunk's happens-before causal cone
   (:mod:`repro.obs.causality`).
+
+:class:`LogSummary` needs no replay: it walks one variant's decoded logs
+once for the entry counts, the distributions and the interval timeline
+that ``repro.tools inspect DIR`` prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from statistics import fmean
 
+from ..common.config import RecorderConfig
+from ..recorder.logfmt import (InorderBlock, IntervalFrame, ReorderedRmw,
+                               ReorderedStore, entry_bit_size)
 from ..replay.costmodel import ReplayCounts
 from ..replay.replayer import ReplayState, Replayer, _WriterTrackingMemory
 from ..sim.serialize import thread_context_from_dict, thread_context_to_dict
@@ -38,6 +46,7 @@ __all__ = [
     "DEFAULT_CHECKPOINT_EVERY",
     "READ_KINDS",
     "WRITE_KINDS",
+    "LogSummary",
     "ReplayCheckpoint",
     "CheckpointStore",
     "MemoryAccess",
@@ -432,3 +441,140 @@ class ReplayInspector:
             "hb_edges": self.graph.num_edges,
             "recording_cycles": self.recording_cycles,
         }
+
+
+# ----------------------------------------------------------- log summaries
+
+@dataclass
+class LogSummary:
+    """One variant's interval logs, summarized in one walk over each core's
+    decoded entries (:meth:`of`).
+
+    The counts equal the recorder's own
+    :class:`~repro.recorder.mrr.RecorderStats` for the same variant; the
+    distributions are the ones behind the paper's averages.  Instructions
+    count toward the interval their ``IntervalFrame`` closes, and an
+    interval spans the recording cycles from the previous frame's
+    timestamp (0 for the first) to its own.
+    """
+
+    kinds: dict[str, int] = field(default_factory=dict)  # entries per type
+    bits_by_type: dict[str, int] = field(default_factory=dict)
+    interval_sizes: list[int] = field(default_factory=list)  # instructions
+    blocks_per_interval: list[int] = field(default_factory=list)
+    block_sizes: list[int] = field(default_factory=list)  # InorderBlocks
+    #: Patch offsets, in intervals, of reordered stores and RMWs.
+    store_offsets: list[int] = field(default_factory=list)
+    #: Per core, each interval's ``(start, end)`` recording cycles.
+    spans: list[list[tuple[int, int]]] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, per_core_entries: list[list],
+           config: RecorderConfig) -> "LogSummary":
+        """Summarize one variant's per-core entry streams, recorded with
+        ``config``."""
+        summary = cls()
+        kinds, bits_by_type = summary.kinds, summary.bits_by_type
+        for entries in per_core_entries:
+            spans: list[tuple[int, int]] = []
+            size = blocks = start = 0
+            for entry in entries:
+                kind = type(entry).__name__
+                kinds[kind] = kinds.get(kind, 0) + 1
+                bits_by_type[kind] = (bits_by_type.get(kind, 0)
+                                      + entry_bit_size(entry, config))
+                if isinstance(entry, IntervalFrame):
+                    summary.interval_sizes.append(size)
+                    summary.blocks_per_interval.append(blocks)
+                    spans.append((start, entry.timestamp))
+                    size = blocks = 0
+                    start = entry.timestamp
+                elif isinstance(entry, InorderBlock):
+                    summary.block_sizes.append(entry.size)
+                    size += entry.size
+                    blocks += 1
+                else:  # one reordered access or dummy
+                    size += 1
+                    if isinstance(entry, (ReorderedStore, ReorderedRmw)):
+                        summary.store_offsets.append(entry.offset)
+            summary.spans.append(spans)
+        return summary
+
+    @property
+    def entries(self) -> int:
+        return sum(self.kinds.values())
+
+    @property
+    def bits(self) -> int:
+        return sum(self.bits_by_type.values())
+
+    @property
+    def intervals(self) -> int:
+        return len(self.interval_sizes)
+
+    @property
+    def instructions(self) -> int:
+        return sum(self.interval_sizes)
+
+    def render_profile(self, name: str) -> str:
+        """The counts and distributions as an ASCII report."""
+        bits, instructions = self.bits, self.instructions
+        per_kilo = bits * 1000.0 / instructions if instructions else 0.0
+        lines = [f"profile: {name}",
+                 f"  intervals            : {self.intervals}",
+                 f"  entries              : {self.entries} ({bits} bits, "
+                 f"{per_kilo:.0f} b/KI)",
+                 f"  instructions covered : {instructions}"]
+        if self.interval_sizes:
+            sizes = self.interval_sizes
+            lines.append(f"  interval size        : mean "
+                         f"{fmean(sizes):.1f} instructions "
+                         f"(min {min(sizes)}, max {max(sizes)})")
+            lines.append(f"  blocks per interval  : mean "
+                         f"{fmean(self.blocks_per_interval):.1f}")
+        if self.block_sizes:
+            sizes = self.block_sizes
+            lines.append(f"  InorderBlock size    : mean "
+                         f"{fmean(sizes):.1f} "
+                         f"(min {min(sizes)}, max {max(sizes)})")
+        lines.append(f"  reordered entries    : "
+                     f"{self.kinds.get('ReorderedLoad', 0)} loads, "
+                     f"{self.kinds.get('ReorderedStore', 0)} stores, "
+                     f"{self.kinds.get('ReorderedRmw', 0)} RMWs")
+        if self.store_offsets:
+            offsets = self.store_offsets
+            lines.append(f"  store patch offsets  : mean "
+                         f"{fmean(offsets):.2f} intervals "
+                         f"(max {max(offsets)})")
+        for kind, kind_bits in sorted(self.bits_by_type.items(),
+                                      key=lambda item: -item[1]):
+            lines.append(f"  bits in {kind:<14s}: {kind_bits:>8d} "
+                         f"({100 * kind_bits / (bits or 1):.1f}%)")
+        return "\n".join(lines) + "\n"
+
+    def render_timeline(self, width: int = 72) -> str:
+        """Every core's intervals on one scaled cycle axis, one ``|`` per
+        interval boundary."""
+        horizon = max((end for spans in self.spans for _, end in spans),
+                      default=0)
+        if horizon == 0:
+            return "(no intervals)\n"
+
+        def column(cycle: int) -> int:
+            return min(width - 1, cycle * (width - 1) // horizon)
+
+        lines = [f"interval timeline (0 .. {horizon} cycles; each char ~ "
+                 f"{max(1, horizon // width)} cycles; '|' = interval "
+                 f"boundary)"]
+        for core_id, spans in enumerate(self.spans):
+            row = [" "] * width
+            for start, end in spans:
+                start_col = column(start)
+                end_col = max(column(end), start_col)
+                for col in range(start_col, end_col):
+                    if row[col] == " ":
+                        row[col] = "-"
+                row[end_col] = "|"
+            lines.append(f"  core {core_id}: " + "".join(row)
+                         + f"  ({len(spans)} intervals)")
+        return "\n".join(lines) + "\n"

@@ -21,6 +21,7 @@ come back as lightweight :class:`BaselineSummary` stand-ins.
 from __future__ import annotations
 
 import base64
+import json
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -43,6 +44,7 @@ __all__ = [
     "thread_context_to_dict", "thread_context_from_dict",
     "run_result_to_dict", "run_result_from_dict",
     "check_type", "check_keys", "check_edge_rows",
+    "memory_from_dict", "final_state_from_dict",
 ]
 
 #: Bumped whenever the wire format changes; part of the cache key salt.
@@ -346,6 +348,43 @@ def check_edge_rows(rows, path: str) -> None:
                 f"{path}[{index}] must be an array of 4 integers")
 
 
+def memory_from_dict(data, path: str) -> dict[int, int]:
+    """Decode a memory image written as ``{str(addr): value}``.  A key that
+    is not a decimal integer string or a value that is not an integer
+    raises :class:`LogFormatError` naming it, e.g. ``final_memory["zz"]``."""
+    check_type(data, (dict,), path)
+    memory = {}
+    for key, value in data.items():
+        try:
+            addr = int(key)
+        except ValueError:
+            addr = None
+        if str(addr) != key:
+            raise LogFormatError(f"{path}[{json.dumps(key)}]: the key must "
+                                 f"be a decimal integer")
+        if type(value) is not int:
+            check_type(value, (int,), f"{path}[{json.dumps(key)}]")
+        memory[addr] = value
+    return memory
+
+
+def final_state_from_dict(final_memory, cores: list,
+                          path: str = "") -> dict[int, int]:
+    """Check a serialized final machine state below ``path``: each element
+    of each ``cores[i].final_regs`` must be an integer, and
+    ``final_memory`` a memory image (:func:`memory_from_dict`).  Returns
+    the decoded final memory; the first mismatch raises
+    :class:`LogFormatError` naming its path, e.g.
+    ``manifest.verification.cores[0].final_regs[1]``."""
+    prefix = f"{path}." if path else ""
+    for index, core in enumerate(cores):
+        for reg, value in enumerate(core["final_regs"]):
+            if type(value) is not int:
+                check_type(value, (int,),
+                           f"{prefix}cores[{index}].final_regs[{reg}]")
+    return memory_from_dict(final_memory, f"{prefix}final_memory")
+
+
 def _check_run_result(data) -> None:
     """Check a serialized run result's shape: the version, every top-level
     key, each ``cores`` and ``recordings`` entry and each
@@ -378,9 +417,9 @@ def run_result_from_dict(data: dict) -> RunResult:
     """Rebuild a :class:`RunResult` written by :func:`run_result_to_dict`.
 
     A key that is missing or of the wrong JSON type — at the top level, in
-    a ``cores`` or ``recordings`` entry, a ``dependence_edges`` value or a
-    machine or recorder config field — raises :class:`LogFormatError`
-    naming its path.
+    a ``cores`` or ``recordings`` entry, a ``dependence_edges`` value, a
+    machine or recorder config field, the program or the final state —
+    raises :class:`LogFormatError` naming its path.
     """
     from ..storage import config_from_dict, program_from_dict
 
@@ -396,8 +435,8 @@ def run_result_from_dict(data: dict) -> RunResult:
                                               f"recordings.{name}[{index}]")
                    for index, output in enumerate(outputs)]
             for name, outputs in data["recordings"].items()},
-        final_memory={int(addr): value
-                      for addr, value in data["final_memory"].items()},
+        final_memory=final_state_from_dict(data["final_memory"],
+                                           data["cores"]),
         bus_transactions=data["bus_transactions"],
         load_trace=(None if load_trace is None else
                     [[tuple(event) for event in core]

@@ -50,7 +50,8 @@ from .recorder.ordering import IntervalEdge
 from .replay.replayer import (ReplayResult, Replayer, pick_variant,
                               verify_and_cost)
 from .sim.machine import RunResult
-from .sim.serialize import check_edge_rows, check_keys, check_type
+from .sim.serialize import (check_edge_rows, check_keys, check_type,
+                            final_state_from_dict, memory_from_dict)
 
 __all__ = ["save_program", "load_program", "save_recording",
            "load_recording", "StoredRecording", "FORMAT_VERSION",
@@ -89,18 +90,35 @@ def _instruction_to_dict(instr: Instruction) -> dict:
     return out
 
 
+#: The JSON types of the optional fields of an instruction dict.
+_INSTRUCTION_FIELDS = {
+    **dict.fromkeys(("dst", "src1", "src2", "imm", "addr_base", "off",
+                     "target"), (int,)),
+    "acq": (bool,), "rel": (bool,), "note": (str,)}
+
+
+def _instruction_path(thread: int, index: int) -> str:
+    return f"program.threads[{thread}].instructions[{index}]"
+
+
 def _member(members: dict, data: dict, key: str, thread: int, index: int):
     value = data[key]
     try:
         return members[value]
     except (KeyError, TypeError):
-        raise LogFormatError(f"thread {thread} instruction {index}: unknown "
-                             f"{key!r} value {value!r}") from None
+        raise LogFormatError(f"{_instruction_path(thread, index)}.{key} has "
+                             f"unknown value {value!r}") from None
 
 
 def _instruction_from_dict(data: dict, thread: int, index: int) -> Instruction:
     if "op" not in data:
-        raise LogFormatError(f"thread {thread} instruction {index} has no 'op'")
+        raise LogFormatError(
+            f"{_instruction_path(thread, index)} is missing key 'op'")
+    for key, value in data.items():
+        types = _INSTRUCTION_FIELDS.get(key)
+        if types is not None and type(value) not in types:
+            check_type(value, types,
+                       f"{_instruction_path(thread, index)}.{key}")
     # Filled in the way pickle restores a frozen dataclass: the generated
     # __init__ makes one object.__setattr__ call per field, which was the
     # largest cost of loading a program.  tests/sim/test_storage.py pins
@@ -146,16 +164,30 @@ def program_from_dict(data: dict) -> Program:
     """Rebuild (and validate) a program written by :func:`program_to_dict`.
 
     Entries with equal items share one frozen :class:`Instruction`, so the
-    loaded program must not be keyed on instruction identity.  A missing
-    ``op`` or an unknown ``op``/``alu``/``rmw`` value raises
-    :class:`LogFormatError` naming the thread and instruction index.
+    loaded program must not be keyed on instruction identity; a field's
+    type is checked on the first of equal entries.  A missing or wrongly
+    typed key, an unknown ``op``/``alu``/``rmw`` value or a bad
+    ``initial_memory`` key or value raises :class:`LogFormatError` naming
+    its path, e.g. ``program.threads[0].instructions[3].dst``.
     """
+    check_keys(data, {"threads": (list,)}, "program")
+    name = data.get("name", "program")
+    metadata = data.get("metadata", {})
+    check_type(name, (str,), "program.name")
+    check_type(metadata, (dict,), "program.metadata")
     shared: dict[tuple, Instruction] = {}
     threads = []
     for thread_index, thread in enumerate(data["threads"]):
+        where = f"program.threads[{thread_index}]"
+        check_keys(thread, {"instructions": (list,)}, where)
+        thread_name = thread.get("name", "")
+        check_type(thread_name, (str,), f"{where}.name")
         instructions = []
         for index, entry in enumerate(thread["instructions"]):
-            key = tuple(entry.items())
+            try:
+                key = tuple(entry.items())
+            except AttributeError:  # not a JSON object
+                check_type(entry, (dict,), f"{where}.instructions[{index}]")
             try:
                 instruction = shared[key]
             except KeyError:
@@ -165,14 +197,12 @@ def program_from_dict(data: dict) -> Program:
                 instruction = _instruction_from_dict(entry, thread_index,
                                                      index)
             instructions.append(instruction)
-        threads.append(ThreadProgram(instructions,
-                                     name=thread.get("name", "")))
+        threads.append(ThreadProgram(instructions, name=thread_name))
     return Program(
         threads,
-        initial_memory={int(addr): value for addr, value
-                        in data.get("initial_memory", {}).items()},
-        name=data.get("name", "program"),
-        metadata=data.get("metadata", {}),
+        initial_memory=memory_from_dict(data.get("initial_memory", {}),
+                                        "program.initial_memory"),
+        name=name, metadata=metadata,
     ).validate()
 
 
@@ -336,11 +366,13 @@ def _check_manifest(manifest) -> None:
             check_keys(core, _LOG_KEYS, f"{where}.cores[{index}]")
     for name, count in manifest["edges"].items():
         check_type(count, (int,), f"manifest.edges.{name}")
-    check_keys(manifest["verification"], _VERIFICATION_KEYS,
-               "manifest.verification")
-    for index, core in enumerate(manifest["verification"]["cores"]):
+    verification = manifest["verification"]
+    check_keys(verification, _VERIFICATION_KEYS, "manifest.verification")
+    for index, core in enumerate(verification["cores"]):
         check_keys(core, _VERIFIED_CORE_KEYS,
                    f"manifest.verification.cores[{index}]")
+    final_state_from_dict(verification["final_memory"],
+                          verification["cores"], "manifest.verification")
 
 
 class StoredRecording:
@@ -416,10 +448,6 @@ class StoredRecording:
         in ``RunResult.dependence_edges``: a variant recorded without
         edges is absent, one with zero edges maps to []."""
         return {name: self.edges(name) for name in self.manifest["edges"]}
-
-    def log_bits(self, variant: str) -> int:
-        meta = self.manifest["variants"][variant]
-        return sum(core["bit_length"] for core in meta["cores"])
 
     def replay(self, variant: str, *, verify: bool = True) -> ReplayResult:
         """Replay a stored variant, verifying against the stored execution."""

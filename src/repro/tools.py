@@ -37,7 +37,6 @@ from .common.errors import (
 from .harness.figures import EXPERIMENTS, required_runs
 from .harness.parallel_runner import CACHE_FILE, DEFAULT_CACHE_DIR, ResultCache
 from .obs.logging import LOG_LEVELS, get_logger, log_kv, setup_logging
-from .recorder.logfmt import IntervalFrame
 from .sim import Machine
 from .sim.kernel import KERNELS
 from .storage import (StoredRecording, load_program, load_recording,
@@ -370,6 +369,8 @@ def _parse_addr_value(text: str) -> tuple[int, int | None]:
 
 def _summarize_directory(stored, args) -> int:
     """The classic recording-directory summary (no replay needed)."""
+    from .obs.inspect import LogSummary
+
     config = stored.config
     print(f"recording: {stored.root}")
     print(f"  program : {stored.program.name} "
@@ -379,27 +380,18 @@ def _summarize_directory(stored, args) -> int:
           f"{config.consistency.value}, {config.protocol.value}, "
           f"{stored.cycles} cycles")
     for variant in stored.variants:
-        per_core = stored.log_entries(variant)
-        entries = sum(len(core) for core in per_core)
-        intervals = sum(1 for core in per_core for entry in core
-                        if isinstance(entry, IntervalFrame))
-        bits = stored.log_bits(variant)
-        print(f"  {variant}: {entries} entries, {intervals} intervals, "
+        summary = LogSummary.of(stored.log_entries(variant),
+                                stored.recorder_config(variant))
+        bits = summary.bits
+        print(f"  {variant}: {summary.entries} entries, "
+              f"{summary.intervals} intervals, "
               f"{bits} bits ({bits / 8 / 1024:.2f} KiB on disk)")
         if args.verbose:
-            kinds: dict[str, int] = {}
-            for core in per_core:
-                for entry in core:
-                    kinds[type(entry).__name__] = \
-                        kinds.get(type(entry).__name__, 0) + 1
-            for kind, count in sorted(kinds.items()):
+            for kind, count in sorted(summary.kinds.items()):
                 print(f"      {kind}: {count}")
         if args.analyze:
-            from .analysis import merge_profiles, profile_log, \
-                render_profile, render_timeline
-            profile = merge_profiles(profile_log(core) for core in per_core)
-            print(render_profile(profile, name=variant), end="")
-            print(render_timeline(per_core), end="")
+            print(summary.render_profile(variant), end="")
+            print(summary.render_timeline(), end="")
     return 0
 
 

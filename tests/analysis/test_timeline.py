@@ -1,17 +1,15 @@
-"""Unit tests for repro.analysis.timeline (interval span extraction and
-ASCII rendering), including the log-vs-trace equivalence it promises."""
+"""Unit tests for the interval spans and the ASCII timeline of
+``repro.obs.inspect.LogSummary``, including the spans' agreement with the
+recorder's ``ChunkCut`` trace events on a real run."""
 
-from repro.analysis.timeline import (
-    interval_spans,
-    render_timeline,
-    render_timeline_from_trace,
-    spans_from_trace,
-)
-from repro.common.config import ConsistencyModel, MachineConfig
-from repro.obs import Tracer
+from repro.common.config import ConsistencyModel, MachineConfig, RecorderConfig
+from repro.obs import Category, Tracer
+from repro.obs.inspect import LogSummary
 from repro.recorder.logfmt import InorderBlock, IntervalFrame
 from repro.sim.machine import Machine
 from repro.workloads.litmus import LITMUS_TESTS, litmus_program
+
+CONFIG = RecorderConfig()
 
 
 class TestIntervalSpans:
@@ -21,11 +19,12 @@ class TestIntervalSpans:
             InorderBlock(size=2), IntervalFrame(cisn=1, timestamp=90),
             IntervalFrame(cisn=2, timestamp=91),
         ]
-        assert interval_spans(entries) == [(0, 0, 50), (1, 50, 90),
-                                           (2, 90, 91)]
+        assert LogSummary.of([entries, [InorderBlock(size=1)]],
+                             CONFIG).spans == [[(0, 50), (50, 90), (90, 91)],
+                                               []]
 
     def test_no_frames_no_spans(self):
-        assert interval_spans([InorderBlock(size=1)]) == []
+        assert LogSummary.of([[InorderBlock(size=1)]], CONFIG).spans == [[]]
 
 
 class TestTraceEquivalence:
@@ -35,31 +34,31 @@ class TestTraceEquivalence:
                                consistency=ConsistencyModel("TSO"))
         tracer = Tracer()
         result = Machine(config).run(program, tracer=tracer)
-        from_logs = [interval_spans(output.entries)
-                     for output in result.recordings["default"]]
-        from_bus = spans_from_trace(tracer, num_cores=2)
-        # ChunkCut events carry the recorded CISNs, so the span lists are
-        # identical modulo the cisn source (log spans index from zero too).
-        assert [[(s[1], s[2]) for s in core] for core in from_bus] == \
-            [[(s[1], s[2]) for s in core] for core in from_logs]
-        assert render_timeline_from_trace(tracer, num_cores=2) == \
-            render_timeline([output.entries
-                             for output in result.recordings["default"]])
+        # Each ChunkCut closes one interval of its core, which spans from
+        # the core's previous cut (cycle 0 for the first).
+        from_bus: list[list[tuple[int, int]]] = [[], []]
+        for event in tracer.events(category=Category.RECORDER):
+            if event.name == "ChunkCut":
+                core = from_bus[event.core_id]
+                core.append((core[-1][1] if core else 0, event.cycle))
+        summary = LogSummary.of(result.log_entries("default"),
+                                result.recorder_config("default"))
+        assert summary.intervals > 0
+        assert summary.spans == from_bus
 
 
 class TestRendering:
     def test_render_shape(self):
-        entries = [[InorderBlock(size=4),
-                    IntervalFrame(cisn=0, timestamp=40),
-                    IntervalFrame(cisn=1, timestamp=100)],
-                   [IntervalFrame(cisn=0, timestamp=100)]]
-        text = render_timeline(entries, width=20)
-        lines = text.splitlines()
+        summary = LogSummary.of(
+            [[InorderBlock(size=4), IntervalFrame(cisn=0, timestamp=40),
+              IntervalFrame(cisn=1, timestamp=100)],
+             [IntervalFrame(cisn=0, timestamp=100)]], CONFIG)
+        lines = summary.render_timeline(width=20).splitlines()
         assert "interval timeline (0 .. 100 cycles" in lines[0]
         assert lines[1].startswith("  core 0:")
         assert lines[1].endswith("(2 intervals)")
         assert lines[2].endswith("(1 intervals)")
-        assert "|" in lines[1]
 
     def test_render_empty(self):
-        assert render_timeline([[]]) == "(no intervals)\n"
+        assert LogSummary.of([[]], CONFIG).render_timeline() == \
+            "(no intervals)\n"

@@ -1,29 +1,24 @@
-"""Tests for the analysis/debug tooling package."""
+"""Tests for the log summary behind ``repro.tools inspect DIR``
+(``repro.obs.inspect.LogSummary``) on a hand-written log and on a real
+Base/Opt recording."""
 
 import pytest
 
-from repro.analysis import (
-    analyze_contention,
-    ascii_histogram,
-    diff_variants,
-    interval_spans,
-    merge_profiles,
-    profile_log,
-    render_contention,
-    render_diff,
-    render_profile,
-    render_timeline,
-)
 from repro.common.config import MachineConfig, RecorderConfig, RecorderMode
+from repro.obs.inspect import LogSummary
 from repro.recorder.logfmt import (
     InorderBlock,
     IntervalFrame,
     ReorderedLoad,
     ReorderedRmw,
     ReorderedStore,
+    entry_bit_size,
 )
 from repro.sim import Machine
 from repro.workloads import build_workload
+
+CONFIG = RecorderConfig()
+REORDERED = ("ReorderedLoad", "ReorderedStore", "ReorderedRmw")
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +28,16 @@ def recording():
         "base": RecorderConfig(mode=RecorderMode.BASE),
         "opt": RecorderConfig(mode=RecorderMode.OPT),
     })
-    return machine.run(program, collect_dependence_edges=True)
+    return machine.run(program)
+
+
+def _summary(result, variant: str) -> LogSummary:
+    return LogSummary.of(result.log_entries(variant),
+                         result.recorder_config(variant))
+
+
+def _reordered(summary: LogSummary) -> int:
+    return sum(summary.kinds.get(kind, 0) for kind in REORDERED)
 
 
 SAMPLE_LOG = [
@@ -50,119 +54,74 @@ SAMPLE_LOG = [
 
 class TestProfile:
     def test_counts(self):
-        profile = profile_log(SAMPLE_LOG)
-        assert profile.intervals == 2
-        assert profile.entries == len(SAMPLE_LOG)
-        assert profile.reordered_loads == 1
-        assert profile.reordered_stores == 1
-        assert profile.reordered_rmws == 1
+        summary = LogSummary.of([SAMPLE_LOG], CONFIG)
+        assert summary.intervals == 2
+        assert summary.entries == len(SAMPLE_LOG)
+        assert [summary.kinds[kind] for kind in REORDERED] == [1, 1, 1]
         # interval 0: 10 + 1 + 5 = 16; interval 1: 1 + 3 + 1 = 5
-        assert profile.instructions == 21
-        assert profile.interval_instructions.maximum == 16
-        assert profile.store_offsets.mean == pytest.approx(1.5)
+        assert summary.interval_sizes == [16, 5]
+        assert summary.instructions == 21
+        assert summary.store_offsets == [1, 2]
 
     def test_bits_match_entry_sizes(self):
-        from repro.recorder.logfmt import entry_bit_size
-        config = RecorderConfig()
-        profile = profile_log(SAMPLE_LOG, config)
-        assert profile.bits == sum(entry_bit_size(e, config)
+        summary = LogSummary.of([SAMPLE_LOG], CONFIG)
+        assert summary.bits == sum(entry_bit_size(e, CONFIG)
                                    for e in SAMPLE_LOG)
-        assert sum(profile.bits_by_type.values()) == profile.bits
+        assert summary.bits_by_type["InorderBlock"] == sum(
+            entry_bit_size(e, CONFIG) for e in SAMPLE_LOG
+            if isinstance(e, InorderBlock))
 
     def test_merge(self):
-        merged = merge_profiles([profile_log(SAMPLE_LOG),
-                                 profile_log(SAMPLE_LOG)])
-        single = profile_log(SAMPLE_LOG)
+        single = LogSummary.of([SAMPLE_LOG], CONFIG)
+        merged = LogSummary.of([SAMPLE_LOG, SAMPLE_LOG], CONFIG)
         assert merged.intervals == 2 * single.intervals
         assert merged.bits == 2 * single.bits
         assert merged.instructions == 2 * single.instructions
 
     def test_render(self):
-        text = render_profile(profile_log(SAMPLE_LOG), name="sample")
-        assert "sample" in text
+        text = LogSummary.of([SAMPLE_LOG], CONFIG).render_profile("sample")
+        assert text.startswith("profile: sample\n")
         assert "reordered entries    : 1 loads, 1 stores, 1 RMWs" in text
-        assert "InorderBlock" in text
+        assert "bits in InorderBlock" in text
 
     def test_empty(self):
-        profile = profile_log([])
-        assert profile.bits_per_kilo_instruction() == 0.0
-        render_profile(profile)  # must not crash
+        text = LogSummary.of([[]], CONFIG).render_profile("empty")
+        assert "entries              : 0 (0 bits, 0 b/KI)" in text
 
     def test_on_real_recording(self, recording):
-        per_core = [o.entries for o in recording.recordings["base"]]
-        merged = merge_profiles(profile_log(core) for core in per_core)
-        assert merged.instructions == recording.total_instructions
+        summary = _summary(recording, "base")
+        assert summary.instructions == recording.total_instructions
         stats = recording.recording_stats("base")
-        assert merged.bits == stats.log_bits
-        assert merged.reordered_total == stats.reordered_total
-
-
-class TestHistogram:
-    def test_bars_scale(self):
-        text = ascii_histogram({0: 10, 1: 5}, width=10, label="demo")
-        lines = text.strip().splitlines()
-        assert lines[0] == "demo"
-        assert lines[1].count("#") == 10
-        assert lines[2].count("#") == 5
-
-    def test_empty(self):
-        assert "(empty)" in ascii_histogram({}, label="x")
+        assert summary.bits == stats.log_bits
+        assert _reordered(summary) == stats.reordered_total
 
 
 class TestTimeline:
     def test_spans(self):
-        spans = interval_spans(SAMPLE_LOG)
-        assert spans == [(0, 0, 100), (1, 100, 250)]
+        assert LogSummary.of([SAMPLE_LOG], CONFIG).spans == \
+            [[(0, 100), (100, 250)]]
 
     def test_render(self):
-        text = render_timeline([SAMPLE_LOG, SAMPLE_LOG])
+        text = LogSummary.of([SAMPLE_LOG, SAMPLE_LOG],
+                             CONFIG).render_timeline()
         assert "core 0" in text and "core 1" in text
-        assert "(2 intervals)" in text
+        assert text.count("(2 intervals)") == 2
 
     def test_render_empty(self):
-        assert "(no intervals)" in render_timeline([[]])
-
-
-class TestContention:
-    def test_hot_lines_sorted(self, recording):
-        report = analyze_contention(recording, "opt")
-        assert report.total_terminations > 0
-        counts = [hot.terminations for hot in report.hot_lines]
-        assert counts == sorted(counts, reverse=True)
-
-    def test_region_attribution(self, recording):
-        regions = {"everything": (0, 1 << 24)}
-        report = analyze_contention(recording, "opt", regions=regions)
-        assert all(hot.region == "everything" for hot in report.hot_lines)
-
-    def test_communication_matrix_from_edges(self, recording):
-        report = analyze_contention(recording, "opt")
-        total_edges = sum(count for row in report.communication.values()
-                          for count in row.values())
-        assert total_edges == len(recording.dependence_edges["opt"])
-
-    def test_render(self, recording):
-        text = render_contention(analyze_contention(recording, "opt"))
-        assert "hottest lines" in text
-        assert "dependence edges" in text
+        assert LogSummary.of([[]], CONFIG).render_timeline() == \
+            "(no intervals)\n"
 
 
 class TestDiff:
     def test_base_vs_opt(self, recording):
-        diff = diff_variants(recording, "base", "opt")
-        assert diff.rescued_accesses >= 0
-        assert diff.bits_saved == diff.left_bits - diff.right_bits
+        """The accesses Opt rescues and the bits it saves, read off the two
+        logs, are the difference of the two variants' recorder stats."""
+        base, opt = _summary(recording, "base"), _summary(recording, "opt")
         stats_base = recording.recording_stats("base")
         stats_opt = recording.recording_stats("opt")
-        assert diff.rescued_accesses == (stats_base.reordered_total
-                                         - stats_opt.reordered_total)
-
-    def test_render(self, recording):
-        text = render_diff(diff_variants(recording, "base", "opt"))
-        assert "rescued" in text
-        assert "log bits" in text
-
-    def test_self_diff_is_zero(self, recording):
-        diff = diff_variants(recording, "base", "base")
-        assert diff.rescued_accesses == 0
-        assert diff.bits_saved == 0
+        rescued = _reordered(base) - _reordered(opt)
+        assert rescued >= 0
+        assert rescued == (stats_base.reordered_total
+                           - stats_opt.reordered_total)
+        assert base.bits - opt.bits == (stats_base.log_bits
+                                        - stats_opt.log_bits)

@@ -4,18 +4,13 @@ the divergence-forensics pipeline on a corrupted log."""
 
 import pytest
 
-from repro.analysis.timeline import (
-    interval_spans,
-    render_timeline,
-    render_timeline_from_trace,
-    spans_from_trace,
-)
 from repro.common.config import (ConsistencyModel, MachineConfig,
                                  RecorderConfig, RecorderMode)
 from repro.common.errors import ReplayDivergenceError
 from repro.isa.builder import ThreadBuilder
 from repro.isa.program import Program
 from repro.obs import Category, Tracer
+from repro.obs.inspect import LogSummary
 from repro.recorder.logfmt import ReorderedStore
 from repro.replay.patcher import (PatchedWrite, group_intervals,
                                   patch_intervals)
@@ -115,10 +110,29 @@ class TestTracedRun:
         assert "obs.trace.emitted" not in result.metrics
 
 
+def _assert_cuts_match_the_log(result, tracer, variant):
+    """Each ``ChunkCut`` event of ``variant`` names a chunk that spans, in
+    the replayer's interval bounds, from the core's previous cut to the
+    event's cycle; the log summary's spans agree."""
+    replayer = Replayer.of(result, variant)
+    cuts = [event for event in tracer.events(category=Category.RECORDER)
+            if event.name == "ChunkCut" and event.variant == variant]
+    assert len(cuts) == len(replayer.intervals) > 0
+    spans: list[list[tuple[int, int]]] = [[] for _ in result.cores]
+    for event in cuts:
+        core = spans[event.core_id]
+        span = (core[-1][1] if core else 0, event.cycle)
+        assert replayer.interval_bounds(event.core_id, event.cisn) == span
+        core.append(span)
+    summary = LogSummary.of(result.log_entries(variant),
+                            result.recorder_config(variant))
+    assert summary.spans == spans
+
+
 class TestTimelineFromTrace:
     def test_two_core_litmus_timeline_matches_log(self):
-        """Satellite regression: the trace-bus timeline of a 2-core litmus
-        run must equal the one derived from the recorded log entries."""
+        """The trace bus's chunk cuts of a 2-core litmus run must equal
+        the interval spans of the recorded log."""
         program = litmus_program(LITMUS_TESTS["MP"], (0, 0))
         tracer = Tracer(capacity=1 << 18)
         from dataclasses import replace
@@ -128,25 +142,12 @@ class TestTimelineFromTrace:
             "opt": RecorderConfig(mode=RecorderMode.OPT),
         })
         result = machine.run(program, tracer=tracer)
-
-        per_core_entries = [output.entries
-                            for output in result.recordings["opt"]]
-        from_log = [interval_spans(entries)
-                    for entries in per_core_entries]
-        from_trace = spans_from_trace(tracer, num_cores=2, variant="opt")
-        assert from_trace == from_log
-        assert (render_timeline_from_trace(tracer, num_cores=2,
-                                           variant="opt")
-                == render_timeline(per_core_entries))
+        _assert_cuts_match_the_log(result, tracer, "opt")
 
     def test_racy_timeline_matches_log(self, traced_run):
         result, tracer = traced_run
         for variant in ("base", "opt"):
-            per_core_entries = [output.entries
-                                for output in result.recordings[variant]]
-            assert (spans_from_trace(tracer, num_cores=3, variant=variant)
-                    == [interval_spans(entries)
-                        for entries in per_core_entries])
+            _assert_cuts_match_the_log(result, tracer, variant)
 
 
 class TestReplayTracing:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -111,16 +112,58 @@ class TestProgramLoading:
     def test_missing_op(self):
         data = program_to_dict(random_program(2, 10, seed=1))
         del data["threads"][1]["instructions"][4]["op"]
-        with pytest.raises(LogFormatError,
-                           match="thread 1 instruction 4 has no 'op'"):
+        with pytest.raises(LogFormatError, match=re.escape(
+                "program.threads[1].instructions[4] is missing key 'op'")):
             program_from_dict(data)
 
     @pytest.mark.parametrize("key", ["op", "alu", "rmw"])
     def test_unknown_enum_value(self, key):
         data = program_to_dict(random_program(2, 10, seed=1))
         data["threads"][0]["instructions"][3][key] = "bogus"
-        with pytest.raises(LogFormatError, match=(
-                f"thread 0 instruction 3: unknown '{key}' value 'bogus'")):
+        with pytest.raises(LogFormatError, match=re.escape(
+                f"program.threads[0].instructions[3].{key} has unknown "
+                f"value 'bogus'")):
+            program_from_dict(data)
+
+    @pytest.mark.parametrize("where, mutate", [
+        ("program.threads must be an array",
+         lambda data: data.update(threads=5)),
+        ("program is missing key 'threads'",
+         lambda data: data.pop("threads")),
+        ("program.threads[1] must be an object",
+         lambda data: data["threads"].__setitem__(1, 5)),
+        ("program.threads[0].instructions must be an array",
+         lambda data: data["threads"][0].update(instructions=5)),
+        ("program.threads[0].name must be a string",
+         lambda data: data["threads"][0].update(name=5)),
+        ("program.threads[1].instructions[2] must be an object",
+         lambda data: data["threads"][1]["instructions"].__setitem__(2, 5)),
+        ("program.threads[0].instructions[3].dst must be an integer",
+         lambda data: data["threads"][0]["instructions"][3].update(dst="x")),
+        ("program.threads[0].instructions[3].imm must be an integer",
+         lambda data: data["threads"][0]["instructions"][3].update(imm=True)),
+        ("program.threads[0].instructions[3].off must be an integer",
+         lambda data: data["threads"][0]["instructions"][3].update(off=1.5)),
+        ("program.threads[0].instructions[3].acq must be a boolean",
+         lambda data: data["threads"][0]["instructions"][3].update(acq=1)),
+        ("program.threads[0].instructions[3].note must be a string",
+         lambda data: data["threads"][0]["instructions"][3].update(note=5)),
+        ("program.name must be a string", lambda data: data.update(name=5)),
+        ("program.metadata must be an object",
+         lambda data: data.update(metadata=[])),
+        ("program.initial_memory must be an object",
+         lambda data: data.update(initial_memory=[1])),
+        ('program.initial_memory["zz"]: the key must be a decimal integer',
+         lambda data: data.update(initial_memory={"zz": 1})),
+        ('program.initial_memory["08"]: the key must be a decimal integer',
+         lambda data: data.update(initial_memory={"08": 1})),
+        ('program.initial_memory["8"] must be an integer',
+         lambda data: data.update(initial_memory={"8": "x"})),
+    ])
+    def test_malformed_program_names_the_path(self, where, mutate):
+        data = program_to_dict(random_program(2, 10, seed=1))
+        mutate(data)
+        with pytest.raises(LogFormatError, match=re.escape(where)):
             program_from_dict(data)
 
     @staticmethod

@@ -39,8 +39,6 @@ MODULES = [
     "repro.fuzz", "repro.fuzz.corpus", "repro.fuzz.coverage",
     "repro.fuzz.minimize", "repro.fuzz.mutate", "repro.fuzz.oracles",
     "repro.fuzz.scheduler",
-    "repro.analysis", "repro.analysis.contention", "repro.analysis.diff",
-    "repro.analysis.logstats", "repro.analysis.timeline",
     "repro.workloads", "repro.workloads.base", "repro.workloads.irregular",
     "repro.workloads.litmus", "repro.workloads.nbody",
     "repro.workloads.random_programs", "repro.workloads.scientific",

@@ -43,16 +43,27 @@ def two_variants(tmp_path_factory):
     return {"run": root / "run.json", "rec": root / "rec"}
 
 
-def _tampered(rec, tmp_path, mutate):
-    """A copy of the recording directory ``rec`` whose parsed manifest
-    went through ``mutate``."""
+def _tampered(rec, tmp_path, mutate, name="manifest.json"):
+    """A copy of the recording directory ``rec`` whose parsed ``name``
+    file went through ``mutate``."""
     copy = tmp_path / "tampered"
     shutil.rmtree(copy, ignore_errors=True)
     shutil.copytree(rec, copy)
-    manifest = json.loads((copy / "manifest.json").read_text())
-    mutate(manifest)
-    (copy / "manifest.json").write_text(json.dumps(manifest))
+    data = json.loads((copy / name).read_text())
+    mutate(data)
+    (copy / name).write_text(json.dumps(data))
     return copy
+
+
+def _assert_rejected(paths, where, capsys):
+    """``replay`` and ``inspect`` on each path exit 2 with one error line
+    containing ``where``."""
+    for path in paths:
+        for command in ("replay", "inspect"):
+            assert main([command, str(path)]) == 2, (where, command, path)
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1, err
+            assert where in err, err
 
 
 class TestInspectQueries:
@@ -97,6 +108,27 @@ class TestInspectQueries:
         out = capsys.readouterr().out
         assert "recording:" in out
         assert "litmus_SB" in out
+
+    def test_analyze_timeline_draws_every_boundary(self, run_json, capsys):
+        """Each core's row has one ``|`` per column an interval boundary
+        falls in (core 0's two boundaries land in distinct columns)."""
+        from repro.recorder.logfmt import IntervalFrame
+        from repro.storage import load_recording
+
+        stored = load_recording(run_json["rec"])
+        frames = [[entry.timestamp for entry in entries
+                   if isinstance(entry, IntervalFrame)]
+                  for entries in stored.log_entries(stored.variants[0])]
+        horizon = max(max(core) for core in frames)
+        last = 72 - 1  # the timeline's last column
+        columns = [{min(last, cycle * last // horizon) for cycle in core}
+                   for core in frames]
+        assert len(columns[0]) == 2
+        assert main(["inspect", str(run_json["rec"]), "-a"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  core ")]
+        assert [row.count("|") for row in rows] == \
+            [len(core) for core in columns], rows
 
     def test_directory_and_run_file_default_to_the_same_variant(
             self, two_variants, capsys):
@@ -255,6 +287,59 @@ class TestFailureExitCodes:
                 err = capsys.readouterr().err
                 assert err.count("error:") == 1, err
                 assert where in err, err
+
+    def test_malformed_program(self, run_json, tmp_path, capsys):
+        """A program of the wrong shape, in a directory's ``program.json``
+        or a run file's ``program``, is bad input naming its path."""
+        first = "program.threads[1].instructions[0]"
+        cases = [
+            ("program.threads must be an array",
+             lambda program: program.update(threads=5)),
+            ("program.threads[0].instructions must be an array",
+             lambda program: program.update(threads=[{"instructions": 5}])),
+            (f"{first} must be an object",
+             lambda program: program["threads"][1]["instructions"]
+             .__setitem__(0, 5)),
+            (f"{first}.dst must be an integer",
+             lambda program: program["threads"][1]["instructions"][0]
+             .update(dst="x")),
+            ('program.initial_memory["zz"]',
+             lambda program: program.update(initial_memory={"zz": 1})),
+        ]
+        run_file = tmp_path / "bad.json"
+        for where, mutate in cases:
+            directory = _tampered(run_json["rec"], tmp_path, mutate,
+                                  "program.json")
+            data = json.loads(run_json["run"].read_text())
+            mutate(data["program"])
+            run_file.write_text(json.dumps(data))
+            _assert_rejected((directory, run_file), where, capsys)
+
+    def test_malformed_final_state(self, run_json, tmp_path, capsys):
+        """A final-memory key or value, or a final register, of the wrong
+        type is bad input naming its path in both forms."""
+        memory = json.loads(run_json["run"].read_text())["final_memory"]
+        addr = min(memory, key=int)
+        cases = [
+            (f'final_memory["{addr}"] must be an integer',
+             lambda memory, cores: memory.update({addr: "x"})),
+            ('final_memory["zz"]: the key must be a decimal integer',
+             lambda memory, cores: memory.update(zz=1)),
+            ("cores[0].final_regs[1] must be an integer",
+             lambda memory, cores: cores[0]["final_regs"]
+             .__setitem__(1, "x")),
+        ]
+        run_file = tmp_path / "bad.json"
+        for where, mutate in cases:
+            directory = _tampered(
+                run_json["rec"], tmp_path,
+                lambda manifest: mutate(
+                    manifest["verification"]["final_memory"],
+                    manifest["verification"]["cores"]))
+            data = json.loads(run_json["run"].read_text())
+            mutate(data["final_memory"], data["cores"])
+            run_file.write_text(json.dumps(data))
+            _assert_rejected((directory, run_file), where, capsys)
 
     def test_malformed_run_result_config(self, run_json, tmp_path, capsys):
         good = json.loads(run_json["run"].read_text())
