@@ -11,8 +11,11 @@ production path for those sweeps:
   digest of the canonicalized :class:`~repro.harness.runner.RunKey`, the
   recorder variant configs and a code-version salt, computed with
   :func:`repro.common.hashing.stable_digest` so keys are identical across
-  interpreter runs, ``PYTHONHASHSEED`` values and dict orderings.
-  Publishes are atomic and first-writer-wins; corrupt entries are
+  interpreter runs, ``PYTHONHASHSEED`` values and dict orderings.  An
+  entry is a JSON header (the result's stats and counters, and the
+  SHA-256 of the payload) and an opaque payload (the program and the
+  logs), which a hit checks against its digest but decodes only when
+  read.  Publishes are atomic and first-writer-wins; corrupt entries are
   deleted with a warning (and a per-reason counter) and recomputed.
 
 * :class:`ShardPool` — maps a worker over a list of items, serially at
@@ -46,6 +49,7 @@ executes what is missing.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
@@ -64,7 +68,8 @@ from ..obs.metrics import MetricsRegistry, MetricsSnapshot
 from ..obs.telemetry import (TELEMETRY_FORMAT, SweepProgress,
                              TelemetryAggregator, TelemetryConfig)
 from ..sim.machine import RunResult
-from ..sim.serialize import SERIALIZATION_VERSION
+from ..sim.serialize import (SERIALIZATION_VERSION, check_keys,
+                             split_run_result)
 from .cachestore import SQLiteStore, parse_backend
 from .runner import VARIANTS, RunKey, execute_run
 
@@ -75,7 +80,8 @@ __all__ = ["CACHE_FORMAT", "DEFAULT_CACHE_DIR", "CACHE_FILE", "SweepError",
            "ParallelRunner"]
 
 #: Bumped when the cache envelope layout changes.
-CACHE_FORMAT = 1
+#: v2: a JSON header line, then the payload (program and logs) it digests.
+CACHE_FORMAT = 2
 
 #: Where sweep results live unless a cache dir is given explicitly.
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -86,6 +92,12 @@ CACHE_FILE = "results.sqlite"
 #: Code-version salt folded into every cache key: results recorded under a
 #: different cache or wire format can never be mistaken for current ones.
 CODE_SALT = f"cache-v{CACHE_FORMAT}:wire-v{SERIALIZATION_VERSION}"
+
+
+#: The JSON types of the header keys after ``cache_format``.
+_HEADER_KEYS = {"salt": (str,), "key": (dict,), "meta": (dict,),
+                "payload_bytes": (int,), "payload_sha256": (str,),
+                "result": (dict,)}
 
 
 class SweepError(ReproError):
@@ -110,6 +122,12 @@ class ResultCache:
     ``store=`` shares one open store between caches.  This class owns the
     envelope format and its validation; the store only sees opaque keyed
     blobs.
+
+    An entry is one line of JSON header, then the payload: the result's
+    program and logs (:func:`~repro.sim.serialize.split_run_result`).
+    The header holds the rest of the result and the payload's length and
+    SHA-256, which :meth:`get` checks before it returns a result whose
+    program and logs decode on first read.
     """
 
     def __init__(self, cache_dir: str | Path = DEFAULT_CACHE_DIR, *,
@@ -121,8 +139,9 @@ class ResultCache:
         self.writes = 0
         self.write_races = 0
         #: Corrupt-entry counts by reason ("decode" | "format" |
-        #: "key_mismatch" | "schema") — telemetry can tell a truncated
-        #: entry from a foreign-version envelope from a digest collision.
+        #: "key_mismatch" | "digest" | "schema") — telemetry can tell a
+        #: truncated entry from a foreign-version envelope from a key
+        #: collision from a damaged payload.
         self.corrupt_reasons: dict[str, int] = {}
 
     @classmethod
@@ -148,10 +167,12 @@ class ResultCache:
             ) -> RunResult | None:
         """The cached result for ``key``, or None on miss / corruption.
 
-        An entry that cannot be parsed or fails envelope validation is
-        deleted from the store with a warning and a per-reason counter,
-        and the shard is recomputed — a damaged cache never poisons a
-        sweep.
+        An entry that cannot be parsed, fails header validation or whose
+        payload does not match its digest is deleted from the store with
+        a warning and a per-reason counter, and the shard is recomputed —
+        a damaged cache never poisons a sweep.  The result's program and
+        logs decode on first read; a bad one raises
+        :class:`~repro.common.errors.LogFormatError` then.
         """
         address = cache_key(key, variants)
         data = self.store.get(address)
@@ -160,17 +181,31 @@ class ResultCache:
             return None
         reason = "decode"
         try:
-            envelope = json.loads(data)
-            if envelope.get("cache_format") != CACHE_FORMAT:
+            split = data.find(b"\n")
+            if split < 0:
+                raise ValueError("the entry has no header line")
+            header = json.loads(data[:split])
+            if type(header) is not dict:
+                raise ValueError("the header is not a JSON object")
+            if header.get("cache_format") != CACHE_FORMAT:
                 reason = "format"
                 raise ValueError(
-                    f"cache format {envelope.get('cache_format')!r}, "
+                    f"cache format {header.get('cache_format')!r}, "
                     f"expected {CACHE_FORMAT}")
-            if envelope.get("key") != key.to_dict():
+            check_keys(header, _HEADER_KEYS, "cache entry header")
+            payload = memoryview(data)[split + 1:]
+            if len(payload) != header["payload_bytes"]:
+                raise ValueError(f"payload has {len(payload)} bytes, the "
+                                 f"header says {header['payload_bytes']}")
+            if header["key"] != key.to_dict():
                 reason = "key_mismatch"
                 raise ValueError("cache entry key does not match request")
+            if (hashlib.sha256(payload).hexdigest()
+                    != header["payload_sha256"]):
+                reason = "digest"
+                raise ValueError("payload does not match its SHA-256")
             reason = "schema"
-            result = RunResult.from_dict(envelope["result"])
+            result = RunResult.from_dict(header["result"], payload)
         except Exception as exc:
             self.corrupt_reasons[reason] = (
                 self.corrupt_reasons.get(reason, 0) + 1)
@@ -195,15 +230,18 @@ class ResultCache:
         (the entries are content-addressed, so they describe the same run
         anyway) and the race is counted in ``write_races``.
         """
-        envelope = {
+        header, payload = split_run_result(result.to_dict())
+        header = {
             "cache_format": CACHE_FORMAT,
             "salt": CODE_SALT,
             "key": key.to_dict(),
             "meta": meta or {},
-            "result": result.to_dict(),
+            "payload_bytes": len(payload),
+            "payload_sha256": hashlib.sha256(payload).hexdigest(),
+            "result": header,
         }
         if self.store.put(cache_key(key, variants),
-                          json.dumps(envelope).encode()):
+                          json.dumps(header).encode() + b"\n" + payload):
             self.writes += 1
         else:
             self.write_races += 1

@@ -15,6 +15,7 @@ steps everything every visited cycle.  Both produce identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..common.config import (CoherenceProtocol, MachineConfig,
                              RecorderConfig)
@@ -36,13 +37,36 @@ from .kernel import KERNELS, OccupancySampler
 __all__ = ["CoreResult", "RecorderOutput", "RunResult", "Machine"]
 
 
+class _DecodedOnRead:
+    """A dataclass field that may be given a ``functools.partial`` that
+    decodes its value.  The first read calls it and keeps the value in its
+    place; a decode that raises stays in place, so every later read raises
+    again.  A result loaded from the result cache holds its program and
+    logs this way (:func:`repro.sim.serialize.run_result_from_dict`), so a
+    reader of its stats never pays for decoding them."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:     # no class-level default for the dataclass
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if type(value) is partial:
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+
+
 @dataclass
 class RecorderOutput:
     """One recorder variant's log for one core."""
 
     core_id: int
     config: RecorderConfig
-    entries: list[LogEntry]
+    entries: list[LogEntry] = _DecodedOnRead()    # may be given a partial
     stats: RecorderStats
 
 
@@ -67,9 +91,13 @@ class CoreResult:
 
 @dataclass
 class RunResult:
-    """Everything a recording run produces."""
+    """Everything a recording run produces.
 
-    program: Program
+    ``program`` and each recording's ``entries`` may be given as a
+    ``functools.partial`` that decodes them on first read.
+    """
+
+    program: Program = _DecodedOnRead()    # may be given a partial
     config: MachineConfig
     cycles: int
     cores: list[CoreResult]
@@ -87,6 +115,9 @@ class RunResult:
     # End-of-run flat metrics snapshot (repro.obs), always populated by
     # Machine.run; None only for hand-built results in tests.
     metrics: MetricsSnapshot | None = None
+    # Variant -> stats merged over its cores (recording_stats).
+    _merged_stats: dict[str, RecorderStats] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def total_instructions(self) -> int:
@@ -122,10 +153,14 @@ class RunResult:
                 "total": (loads + stores) / mem}
 
     def recording_stats(self, variant: str) -> RecorderStats:
-        """Aggregate a variant's stats over all cores."""
-        total = RecorderStats()
-        for output in self.recordings[variant]:
-            total.merge(output.stats)
+        """A variant's stats merged over all cores.  The merge runs once
+        per variant and every call returns the same object, so callers
+        must treat it as read-only."""
+        total = self._merged_stats.get(variant)
+        if total is None:
+            total = self._merged_stats[variant] = RecorderStats()
+            for output in self.recordings[variant]:
+                total.merge(output.stats)
         return total
 
     def log_rate_mb_per_s(self, variant: str) -> float:
@@ -143,10 +178,12 @@ class RunResult:
         return run_result_to_dict(self)
 
     @staticmethod
-    def from_dict(data: dict) -> "RunResult":
-        """Rebuild a result serialized with :meth:`to_dict`."""
+    def from_dict(data: dict, payload=None) -> "RunResult":
+        """Rebuild a result serialized with :meth:`to_dict`, or its cache
+        form with ``payload`` (see
+        :func:`~repro.sim.serialize.run_result_from_dict`)."""
         from .serialize import run_result_from_dict
-        return run_result_from_dict(data)
+        return run_result_from_dict(data, payload)
 
 
 class _LoadTraceSink:

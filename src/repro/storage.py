@@ -50,8 +50,8 @@ from .recorder.ordering import IntervalEdge
 from .replay.replayer import (ReplayResult, Replayer, pick_variant,
                               verify_and_cost)
 from .sim.machine import RunResult
-from .sim.serialize import (check_edge_rows, check_keys, check_type,
-                            final_state_from_dict, memory_from_dict)
+from .sim.serialize import (check_int_rows, check_keys, check_type,
+                            final_state_from_dict, int_map_from_dict)
 
 __all__ = ["save_program", "load_program", "save_recording",
            "load_recording", "StoredRecording", "FORMAT_VERSION",
@@ -200,7 +200,7 @@ def program_from_dict(data: dict) -> Program:
         threads.append(ThreadProgram(instructions, name=thread_name))
     return Program(
         threads,
-        initial_memory=memory_from_dict(data.get("initial_memory", {}),
+        initial_memory=int_map_from_dict(data.get("initial_memory", {}),
                                         "program.initial_memory"),
         name=name, metadata=metadata,
     ).validate()
@@ -439,7 +439,7 @@ class StoredRecording:
             return []
         rows = json.loads(
             (self.root / "edges" / f"{variant}.json").read_text())
-        check_edge_rows(rows, f"edges/{variant}.json")
+        check_int_rows(rows, 4, f"edges/{variant}.json")
         return [IntervalEdge(*row) for row in rows]
 
     @cached_property

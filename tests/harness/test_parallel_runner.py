@@ -8,15 +8,19 @@ across interpreter runs, and the CLI plumbing that threads
 including the default ``.repro_cache/results.sqlite`` cache.
 """
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 
-from repro.common.config import ConsistencyModel, RecorderConfig, RecorderMode
+from repro.common.config import (ConsistencyModel, MachineConfig,
+                                 RecorderConfig, RecorderMode)
+from repro.common.errors import LogFormatError
 from repro.harness import ExperimentRunner
 from repro.harness.cachestore import CacheBackendError
 from repro.harness.parallel_runner import (
@@ -27,9 +31,11 @@ from repro.harness.parallel_runner import (
     _execute_shard,
     cache_key,
 )
-from repro.harness.runner import RunKey, execute_run
+from repro.harness.runner import RunKey, build_workload, execute_run
+from repro.sim.machine import Machine
 
 RC = ConsistencyModel.RC
+SC = ConsistencyModel.SC
 TSO = ConsistencyModel.TSO
 
 #: One cheap recorder variant keeps every shard in these tests fast.
@@ -52,6 +58,25 @@ def rewrite_entry(cache, key, data: bytes) -> None:
     address = cache_key(key, TINY_VARIANTS)
     cache.store.delete(address)
     cache.store.put(address, data)
+
+
+def edit_entry(cache, key, edit=None, *, redigest=False) -> dict:
+    """The parsed JSON header of ``key``'s stored entry (TINY_VARIANTS).
+
+    With ``edit``, the entry is rewritten after ``edit(header, payload)``
+    changed the header dict and the payload bytearray in place; with
+    ``redigest`` the header then gets the new payload's length and digest.
+    """
+    header, payload = read_entry(cache, key).split(b"\n", 1)
+    header, payload = json.loads(header), bytearray(payload)
+    if edit is not None:
+        edit(header, payload)
+        if redigest:
+            header["payload_bytes"] = len(payload)
+            header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+        rewrite_entry(cache, key, json.dumps(header).encode() + b"\n" +
+                      bytes(payload))
+    return header
 
 
 # Worker fakes must live at module level so the process pool can pickle
@@ -194,9 +219,8 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "cache")
         key = tiny_key()
         cache.put(key, execute_run(key, TINY_VARIANTS), TINY_VARIANTS)
-        envelope = json.loads(read_entry(cache, key))
-        envelope["key"]["seed"] = 99
-        rewrite_entry(cache, key, json.dumps(envelope).encode())
+        edit_entry(cache, key,
+                   lambda header, payload: header["key"].update(seed=99))
         with pytest.warns(UserWarning, match="does not match"):
             assert cache.get(key, TINY_VARIANTS) is None
         assert cache.counters()["corrupt.key_mismatch"] == 1
@@ -223,11 +247,149 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "cache")
         key = tiny_key()
         cache.put(key, execute_run(key, TINY_VARIANTS), TINY_VARIANTS)
-        envelope = json.loads(read_entry(cache, key))
-        envelope["cache_format"] = -1
-        rewrite_entry(cache, key, json.dumps(envelope).encode())
+        edit_entry(cache, key,
+                   lambda header, payload: header.update(cache_format=-1))
         with pytest.warns(UserWarning, match="cache format"):
             assert cache.get(key, TINY_VARIANTS) is None
+
+
+# ------------------------------------------------- cache header and payload
+
+def _recompute(cache, key) -> int:
+    """Shards a sweep over ``key`` executes against ``cache``."""
+    runner = ParallelRunner(jobs=1, cache=cache, variants=TINY_VARIANTS)
+    runner.run([key])
+    return runner.executed
+
+
+class TestCachePayload:
+    """A cache entry is a JSON header plus a payload (the program and the
+    logs) that a hit checks against its digest and decodes on first
+    read."""
+
+    def test_hit_round_trips_every_result_form(self, tmp_path):
+        """A hit's wire form is byte-identical to the recorded result's,
+        under RC, under SC and TSO with baselines, and with edges."""
+        cache = ResultCache(tmp_path / "cache")
+        results = {key: execute_run(key, TINY_VARIANTS) for key in (
+            tiny_key(), tiny_key(consistency=SC, with_baselines=True),
+            tiny_key(consistency=TSO, with_baselines=True))}
+        edges_key = tiny_key("lu")
+        results[edges_key] = Machine(
+            MachineConfig(num_cores=2, seed=1), TINY_VARIANTS).run(
+            build_workload("lu", num_threads=2, scale=0.05, seed=1),
+            collect_dependence_edges=True)
+        assert results[edges_key].dependence_edges["opt_4k"]
+        for key, result in results.items():
+            cache.put(key, result, TINY_VARIANTS)
+        for key, result in results.items():
+            restored = cache.get(key, TINY_VARIANTS)
+            assert json.dumps(restored.to_dict()) == \
+                json.dumps(result.to_dict()), key.describe()
+        assert cache.counters()["corrupt"] == 0
+
+    def test_flipped_payload_byte_is_a_digest_mismatch(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        key = tiny_key()
+        cache.put(key, execute_run(key, TINY_VARIANTS), TINY_VARIANTS)
+
+        def flip(header, payload):
+            payload[-1] ^= 1
+        edit_entry(cache, key, flip)
+        with pytest.warns(UserWarning, match="digest.*SHA-256"):
+            assert cache.get(key, TINY_VARIANTS) is None
+        assert cache.counters()["corrupt.digest"] == 1
+        assert cache.corrupt == 1
+        assert read_entry(cache, key) is None
+        assert _recompute(cache, key) == 1
+        assert cache.get(key, TINY_VARIANTS) is not None
+
+    def test_truncated_entry_is_a_decode_error(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        key = tiny_key()
+        cache.put(key, execute_run(key, TINY_VARIANTS), TINY_VARIANTS)
+        rewrite_entry(cache, key, read_entry(cache, key)[:-7])
+        with pytest.warns(UserWarning, match="decode.*payload has"):
+            assert cache.get(key, TINY_VARIANTS) is None
+        assert cache.counters()["corrupt.decode"] == 1
+        assert "corrupt.digest" not in cache.counters()
+        assert _recompute(cache, key) == 1
+
+    def test_bad_log_with_a_matching_digest_raises_on_first_read(
+            self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        key = tiny_key()
+        cache.put(key, execute_run(key, TINY_VARIANTS), TINY_VARIANTS)
+
+        def bad_first_entry_type(header, payload):
+            offset, _ = header["result"]["recordings"]["opt_4k"][1]["log"]
+            payload[offset] |= 0xE0     # the unassigned entry type 7
+        edit_entry(cache, key, bad_first_entry_type, redigest=True)
+        result = cache.get(key, TINY_VARIANTS)
+        assert result is not None and cache.corrupt == 0
+        assert result.recording_stats("opt_4k").log_bits > 0
+        for _ in range(2):  # a failed decode stays deferred
+            with pytest.raises(LogFormatError, match=re.escape(
+                    "recordings.opt_4k[1].log: bad entry type 7 at bit 0")):
+                result.log_entries("opt_4k")
+
+    def test_bad_program_with_a_matching_digest_raises_on_first_read(
+            self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        key = tiny_key()
+        cache.put(key, execute_run(key, TINY_VARIANTS), TINY_VARIANTS)
+
+        def bad_instruction(header, payload):
+            offset, length = header["result"]["program"]
+            program = json.loads(payload[offset:offset + length])
+            program["threads"][1]["instructions"][0] = 5
+            # JSON allows trailing blanks: the payload keeps its layout.
+            payload[offset:offset + length] = \
+                json.dumps(program).encode().ljust(length)
+        edit_entry(cache, key, bad_instruction, redigest=True)
+        result = cache.get(key, TINY_VARIANTS)
+        assert result is not None and cache.corrupt == 0
+        assert result.total_instructions > 0
+        with pytest.raises(LogFormatError, match=re.escape(
+                "program.threads[1].instructions[0] must be an object")):
+            result.program
+
+    def test_warm_figures_decode_no_program_and_no_log(self, tmp_path,
+                                                       monkeypatch):
+        """fig1 and fig9-fig12 read only the header: with the program and
+        log decoders made to raise, a warm pass renders the cold tables.
+        fig13 still decodes on demand."""
+        from repro import storage
+        from repro.harness import figures, report
+        from repro.sim import serialize
+
+        spec = f"sqlite:{tmp_path}/c.sqlite"
+        names = ("fig1", "fig9", "fig10", "fig11", "fig12", "fig13")
+
+        def tables(experiments):
+            runner = ExperimentRunner(seed=1, scale=0.05,
+                                      workloads=("fft", "radix"),
+                                      cache_backend=spec)
+            try:
+                text = report.render_all({
+                    name: figures.EXPERIMENTS[name](runner, 2)
+                    for name in experiments})
+                return text, runner.cache.counters()
+            finally:
+                runner.cache.close()
+
+        cold, _ = tables(names)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm figure pass decoded its input")
+        with monkeypatch.context() as patched:
+            patched.setattr(storage, "program_from_dict", refuse)
+            patched.setattr(serialize, "decode_log", refuse)
+            warm, counters = tables(names[:-1])
+        assert cold.startswith(warm + "\n")    # fig1-fig12 of the cold text
+        assert counters == {"hits": 2, "misses": 0, "corrupt": 0,
+                            "writes": 0}
+        assert tables(names) == (cold, counters)
 
 
 # ---------------------------------------------------------- parallel runner
@@ -408,9 +570,10 @@ class TestSweepTelemetry:
                                 variants=TINY_VARIANTS,
                                 telemetry=TelemetryConfig(capture_trace=True))
         traced.run([key])
-        plain_entry = json.loads(read_entry(plain_cache, key))
-        traced_entry = json.loads(read_entry(traced_cache, key))
+        plain_entry = edit_entry(plain_cache, key)
+        traced_entry = edit_entry(traced_cache, key)
         assert plain_entry["result"] == traced_entry["result"]
+        assert plain_entry["payload_sha256"] == traced_entry["payload_sha256"]
         # The trace itself arrived through the side channel.
         label = key.label()
         assert traced.aggregator.shard(label).trace

@@ -341,6 +341,59 @@ class TestFailureExitCodes:
             run_file.write_text(json.dumps(data))
             _assert_rejected((directory, run_file), where, capsys)
 
+    @pytest.mark.parametrize("where, path, value", [
+        ("cores[0].traq_histogram.counts must be an object",
+         ("cores", 0, "traq_histogram", "counts"), 5),
+        ('cores[0].traq_histogram.counts["x"]: the key must be a decimal',
+         ("cores", 0, "traq_histogram", "counts"), {"x": 1}),
+        ('cores[0].traq_histogram.counts["0"] must be an integer',
+         ("cores", 0, "traq_histogram", "counts"), {"0": 1.5}),
+        ("cores[0].traq_histogram.bin_width must be positive",
+         ("cores", 0, "traq_histogram", "bin_width"), 0),
+        ("cores[0].traq_histogram.samples must be an integer",
+         ("cores", 0, "traq_histogram", "samples"), "x"),
+        ("load_trace[0][0] must be an array of 3 integers",
+         ("load_trace",), [[5]]),
+        ("load_trace[0] must be an array", ("load_trace",), [5]),
+        ("baselines.x[0] must be an object", ("baselines", "x"), [5]),
+        ("baselines.x must be an array", ("baselines", "x"), 5),
+        ("baselines.x[0].chunked must be a boolean", ("baselines", "x"),
+         [{"log_bits": 1, "instructions_counted": 1, "chunked": 1}]),
+        ("STATS is missing key 'mem_counted'", ("STATS",), {}),
+        ("STATS.log_bits must be an integer", ("STATS", "log_bits"), "x"),
+        ('STATS.entry_bits_by_type["Dummy"] must be an integer',
+         ("STATS", "entry_bits_by_type"), {"Dummy": "x"}),
+        ('STATS.conflict_lines["0x1"]: the key must be a decimal',
+         ("STATS", "conflict_lines"), {"0x1": 1}),
+        ("cores[0].traq_occupancy is missing key 'count'",
+         ("cores", 0, "traq_occupancy"), {}),
+        ("cores[0].traq_occupancy is missing key 'mean'",
+         ("cores", 0, "traq_occupancy"), {"count": 1, "total": 2.0}),
+        ("cores[0].traq_occupancy.total must be an integer or a number",
+         ("cores", 0, "traq_occupancy", "total"), "x"),
+        ('metrics["a"] must be an integer or a number, got a string',
+         ("metrics",), {"a": "b"}),
+        ("RECORDING.log is not base64", ("RECORDING", "log"), "abc"),
+    ])
+    def test_malformed_run_result_contents(self, run_json, tmp_path, capsys,
+                                           where, path, value):
+        """A bad stats, TRAQ, load-trace, baseline or metrics value in a
+        run file is bad input naming its path, for replay and inspect."""
+        data = json.loads(run_json["run"].read_text())
+        variant = sorted(data["recordings"])[0]
+        recording = ("recordings", variant, 0)
+        steps = {"RECORDING": recording, "STATS": recording + ("stats",)}
+        path = steps.get(path[0], path[:1]) + path[1:]
+        where = where.replace("STATS", "RECORDING.stats").replace(
+            "RECORDING", f"recordings.{variant}[0]")
+        parent = data
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+        run_file = tmp_path / "bad.json"
+        run_file.write_text(json.dumps(data))
+        _assert_rejected((run_file,), where, capsys)
+
     def test_malformed_run_result_config(self, run_json, tmp_path, capsys):
         good = json.loads(run_json["run"].read_text())
         variant = sorted(good["recordings"])[0]
