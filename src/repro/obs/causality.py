@@ -2,12 +2,12 @@
 
 A recorded execution induces a partial order on its chunks: program order
 chains each core's intervals, and the inter-chunk dependence edges the
-recorder collects (``src_core/src_cisn -> dst_core/dst_cisn``, persisted by
-:mod:`repro.storage` and :mod:`repro.sim.serialize`) order communicating
-chunks across cores.  :class:`CausalityGraph` materializes that partial
-order and answers ancestor/descendant/slice queries, so a replay
-divergence can be explained by its *causal cone* — the exact set of chunks
-whose effects the culprit chunk could have observed.
+recorder collects (``src_core/src_cisn -> dst_core/dst_cisn``, a
+``RunResult``'s ``dependence_edges``, which every stored form keeps) order
+communicating chunks across cores.  :class:`CausalityGraph` materializes
+that partial order and answers ancestor/descendant/slice queries, so a
+replay divergence can be explained by its *causal cone* — the exact set of
+chunks whose effects the culprit chunk could have observed.
 
 When a recording carries no pairwise edges (they are only collected with
 ``collect_dependence_edges=True``), the graph falls back to the QuickRec

@@ -25,8 +25,9 @@ CLI and the divergence forensics ride on:
   (:mod:`repro.obs.causality`).
 
 :class:`LogSummary` needs no replay: it walks one variant's decoded logs
-once for the entry counts, the distributions and the interval timeline
-that ``repro.tools inspect DIR`` prints.
+once for the entry kinds, the distributions and the interval timeline
+that ``repro.tools inspect DIR -v/--analyze`` prints; its counts equal
+the recorder's own stats, which a plain ``inspect DIR`` prints.
 """
 
 from __future__ import annotations
@@ -298,12 +299,13 @@ class StateView:
 class ReplayInspector:
     """Reverse-debugging query engine over one recorded variant.
 
-    ``recording`` is a :class:`~repro.sim.machine.RunResult` or a
-    :class:`~repro.storage.StoredRecording`; ``variant`` defaults to its
-    first in sorted order.  Construction replays the recording once end to
-    end, capturing checkpoints every ``checkpoint_every`` chunks and
-    indexing every memory access; queries then cost one
-    nearest-checkpoint restore plus a bounded forward replay.
+    ``recording`` is a :class:`~repro.sim.machine.RunResult`, live or
+    loaded (:func:`~repro.storage.load_recording` returns one);
+    ``variant`` defaults to its first in sorted order.  Construction
+    replays the recording once end to end, capturing checkpoints every
+    ``checkpoint_every`` chunks and indexing every memory access; queries
+    then cost one nearest-checkpoint restore plus a bounded forward
+    replay.
     """
 
     def __init__(self, recording, variant: str | None = None, *,

@@ -60,9 +60,8 @@ class ReplayTime:
 def recorded_cpi(recording) -> float:
     """The recorded execution's per-core cycles per instruction.
 
-    ``recording`` is a :class:`~repro.sim.machine.RunResult` or a
-    :class:`~repro.storage.StoredRecording`; a run that retired nothing
-    counts as CPI 1.
+    ``recording`` is a :class:`~repro.sim.machine.RunResult`, live or
+    loaded; a run that retired nothing counts as CPI 1.
     """
     total = recording.total_instructions
     return (recording.cycles * len(recording.cores) / total

@@ -56,8 +56,8 @@ class ParallelReplayResult:
 
 def parallel_replay_recording(recording, variant: str | None = None, *,
                               verify: bool = True) -> ParallelReplayResult:
-    """Parallel-replay one variant of a ``RunResult`` or
-    ``StoredRecording`` (default: the first in sorted order) and verify it.
+    """Parallel-replay one variant of a ``RunResult`` (default: the first
+    in sorted order) and verify it.
 
     The recording must carry the variant's dependence edges: record with
     ``--edges`` (``collect_dependence_edges=True``).

@@ -7,8 +7,9 @@ in-order interpreter, ReorderedLoads inject logged values, Dummies skip
 patched stores, and PatchedWrites apply relocated memory updates.
 :meth:`Replayer.run` is the only code that executes intervals; the
 inspector and parallel replay (via :meth:`Replayer.reorder`) use it too.
-A recording is a :class:`~repro.sim.machine.RunResult` or a
-:class:`~repro.storage.StoredRecording`; both offer the same attributes.
+A recording is a :class:`~repro.sim.machine.RunResult`: live, read from
+a run file, or loaded from a recording directory as its subclass
+:class:`~repro.storage.StoredRecording`.
 
 Unlike the paper — which asserts determinism — every replay form
 *verifies* it in one step (:func:`verify_and_cost`): final memory, final
@@ -137,7 +138,7 @@ class Replayer:
     def of(cls, recording, variant: str | None = None, *,
            tracer: Tracer | None = None) -> "Replayer":
         """The replayer of one variant (default: the first in sorted order)
-        of a ``RunResult`` or ``StoredRecording``."""
+        of a ``RunResult``."""
         variant = pick_variant(recording, variant)
         return cls(recording.program, recording.log_entries(variant),
                    cisn_bits=recording.recorder_config(variant).cisn_bits,
@@ -335,8 +336,7 @@ def replay_recording(recording, variant: str | None = None, *,
                      tracer: Tracer | None = None,
                      checkpoint_every: int | None = None) -> ReplayResult:
     """Replay one variant (default: the first in sorted order) of a
-    ``RunResult`` or ``StoredRecording`` and verify it
-    (:func:`verify_and_cost`).
+    ``RunResult`` and verify it (:func:`verify_and_cost`).
 
     A mismatch raises :class:`ReplayDivergenceError` carrying a
     :class:`~repro.obs.forensics.DivergenceReport` (with recent history

@@ -1,33 +1,28 @@
 """On-disk persistence for programs and recordings.
 
-A recording saved with :func:`save_recording` is a directory:
+A recording directory (:func:`save_recording`) is the result cache's entry
+for a :class:`~repro.sim.machine.RunResult`, split into files:
 
 .. code-block:: text
 
     <dir>/
-      manifest.json          # format version, config, per-variant metadata,
-                             # verification state (final registers, memory,
-                             # per-core instruction counts), run statistics
-      program.json           # the recorded program, instruction by instruction
-      logs/<variant>/core<i>.bin   # the bit-exact interval logs
-      edges/<variant>.json   # pairwise interval edges (when collected)
+      manifest.json    # {"format_version": 2, "payload_bytes",
+                       #  "payload_sha256", "result": the entry's header}
+      program.json                # the payload: the program's JSON text,
+      logs/<variant>/core<i>.bin  # then each raw log, in header order
 
-The interval logs are stored in the recorder's binary format
-(:mod:`repro.recorder.logfmt`), so the on-disk size *is* the hardware log
-size.  :func:`load_recording` reconstructs everything needed to replay —
-including the verification state, so a replay of a loaded recording is
-checked bit-exactly against the original execution even in a fresh process.
-The manifest is untrusted input: a missing or wrongly typed key, down to
-each config field, raises :class:`LogFormatError` naming its path.
+The logs are the recorder's binary format (:mod:`repro.recorder.logfmt`),
+so the on-disk size *is* the hardware log size.  :func:`load_recording`
+checks the payload's length and SHA-256 and returns a
+:class:`StoredRecording` whose program and logs decode on first read.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
-from functools import cached_property
-from pathlib import Path
-from types import SimpleNamespace
+from pathlib import Path, PurePath
 
 from .common.config import (
     CoherenceProtocol,
@@ -45,20 +40,22 @@ from .common.config import (
 from .common.errors import LogFormatError
 from .isa.instructions import AluOp, Instruction, Opcode, RmwOp
 from .isa.program import Program, ThreadProgram
-from .recorder.logfmt import decode_log, encode_log
-from .recorder.ordering import IntervalEdge
+# Unused here, but bound for perfbench/spans.py, which wraps each by name
+# in this module's namespace.
+from .recorder.logfmt import decode_log, encode_log  # noqa: F401
 from .replay.replayer import (ReplayResult, Replayer, pick_variant,
                               verify_and_cost)
 from .sim.machine import RunResult
-from .sim.serialize import (check_int_rows, check_keys, check_type,
-                            final_state_from_dict, int_map_from_dict)
+from .sim.serialize import (check_keys, check_type, int_map_from_dict,
+                            run_result_from_dict, split_run_result)
 
 __all__ = ["save_program", "load_program", "save_recording",
            "load_recording", "StoredRecording", "FORMAT_VERSION",
            "config_to_dict", "config_from_dict",
            "program_to_dict", "program_from_dict"]
 
-FORMAT_VERSION = 1
+#: v2: the result cache's entry form, digest-checked.
+FORMAT_VERSION = 2
 
 #: Value -> member for the enum fields of an instruction dict; a member
 #: maps to itself, as ``Enum(member)`` does.
@@ -291,163 +288,53 @@ def config_from_dict(cls, data: dict, path: str = "config"):
 
 # ------------------------------------------------------------ recordings
 
+def _parts(root: Path, header: dict) -> list[tuple[object, Path]]:
+    """A cache-form header's payload parts in payload order (the program,
+    then each log in header order): each one's reference and file.  A
+    variant name that is not one plain path component, or a log without
+    an integer ``core_id``, raises :class:`LogFormatError` naming it."""
+    parts = [(header.get("program"), root / "program.json")]
+    recordings = header.get("recordings")
+    check_type(recordings, (dict,), "run result key 'recordings'")
+    for name, outputs in recordings.items():
+        where = f"recordings.{name}"
+        if name in (".", "..") or "\0" in name or \
+                PurePath(name).parts != (name,):
+            raise LogFormatError(f"{where}: a variant name must be one plain "
+                                 f"path component")
+        check_type(outputs, (list,), where)
+        for index, output in enumerate(outputs):
+            check_keys(output, {"core_id": (int,)}, f"{where}[{index}]")
+            parts.append((output.get("log"), root / "logs" / name /
+                          f"core{output['core_id']}.bin"))
+    return parts
+
+
 def save_recording(result: RunResult, path: str | Path) -> Path:
-    """Persist a :class:`~repro.sim.machine.RunResult` to ``path``."""
+    """Persist a :class:`~repro.sim.machine.RunResult` to ``path`` as its
+    cache form: the header in ``manifest.json``, each payload part in its
+    own file."""
     root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    save_program(result.program, root / "program.json")
-
-    variants = {}
-    for name, outputs in result.recordings.items():
-        variant_dir = root / "logs" / name
-        variant_dir.mkdir(parents=True, exist_ok=True)
-        cores = []
-        for output in outputs:
-            data, bits = encode_log(output.entries, output.config)
-            log_path = variant_dir / f"core{output.core_id}.bin"
-            log_path.write_bytes(data)
-            cores.append({"core_id": output.core_id, "bit_length": bits})
-        variants[name] = {
-            "recorder_config": config_to_dict(outputs[0].config),
-            "cores": cores,
-        }
-
-    edges_meta = {}
-    for name, edges in result.dependence_edges.items():
-        edges_dir = root / "edges"
-        edges_dir.mkdir(exist_ok=True)
-        (edges_dir / f"{name}.json").write_text(json.dumps(
-            [[e.src_core, e.src_cisn, e.dst_core, e.dst_cisn]
-             for e in edges]))
-        edges_meta[name] = len(edges)
-
-    manifest = {
+    header, payload = split_run_result(result.to_dict())
+    for (offset, length), part in _parts(root, header):
+        part.parent.mkdir(parents=True, exist_ok=True)
+        part.write_bytes(payload[offset:offset + length])
+    (root / "manifest.json").write_text(json.dumps({
         "format_version": FORMAT_VERSION,
-        "config": config_to_dict(result.config),
-        "cycles": result.cycles,
-        "bus_transactions": result.bus_transactions,
-        "variants": variants,
-        "edges": edges_meta,
-        "verification": {
-            "final_memory": {str(addr): value for addr, value
-                             in result.final_memory.items()},
-            "cores": [
-                {"core_id": core.core_id,
-                 "instructions": core.instructions,
-                 "final_regs": core.final_regs}
-                for core in result.cores
-            ],
-        },
-    }
-    (root / "manifest.json").write_text(json.dumps(manifest))
+        "payload_bytes": len(payload),
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "result": header}))
     return root
 
 
-#: The JSON types of each key of ``manifest.json`` (after the version).
-_MANIFEST_KEYS = {"config": (dict,), "cycles": (int,),
-                  "bus_transactions": (int,), "variants": (dict,),
-                  "edges": (dict,), "verification": (dict,)}
-_VARIANT_KEYS = {"recorder_config": (dict,), "cores": (list,)}
-_LOG_KEYS = {"core_id": (int,), "bit_length": (int,)}
-_VERIFICATION_KEYS = {"final_memory": (dict,), "cores": (list,)}
-_VERIFIED_CORE_KEYS = {"core_id": (int,), "instructions": (int,),
-                       "final_regs": (list,)}
-
-
-def _check_manifest(manifest) -> None:
-    """Check every key of a manifest against the tables above; the first
-    mismatch raises :class:`LogFormatError` naming its path, e.g.
-    ``manifest.variants.opt_4096.cores[0].bit_length``."""
-    check_keys(manifest, _MANIFEST_KEYS, "manifest")
-    for name, meta in manifest["variants"].items():
-        where = f"manifest.variants.{name}"
-        check_keys(meta, _VARIANT_KEYS, where)
-        for index, core in enumerate(meta["cores"]):
-            check_keys(core, _LOG_KEYS, f"{where}.cores[{index}]")
-    for name, count in manifest["edges"].items():
-        check_type(count, (int,), f"manifest.edges.{name}")
-    verification = manifest["verification"]
-    check_keys(verification, _VERIFICATION_KEYS, "manifest.verification")
-    for index, core in enumerate(verification["cores"]):
-        check_keys(core, _VERIFIED_CORE_KEYS,
-                   f"manifest.verification.cores[{index}]")
-    final_state_from_dict(verification["final_memory"],
-                          verification["cores"], "manifest.verification")
-
-
-class StoredRecording:
-    """A recording loaded from disk; replayable and self-verifying.
-
-    It offers the replay engine what a :class:`RunResult` does:
-    ``program``, ``config``, ``cycles``, ``final_memory``, ``cores`` (each
-    core's ``core_id``, ``instructions`` and ``final_regs``),
-    ``load_trace`` (never stored, so None), ``dependence_edges``,
-    ``variants``, ``log_entries`` and ``recorder_config``.
-    """
-
-    load_trace = None
-
-    def __init__(self, root: Path, manifest: dict, program: Program):
-        _check_manifest(manifest)
-        self.root = root
-        self.manifest = manifest
-        self.program = program
-        self.config = config_from_dict(MachineConfig, manifest["config"],
-                                       "manifest.config")
-        self.cycles = manifest["cycles"]
-        verification = manifest["verification"]
-        self.final_memory = {int(addr): value for addr, value in
-                             verification["final_memory"].items()}
-        self.cores = [SimpleNamespace(**core)
-                      for core in verification["cores"]]
-        self._recorder_configs = {
-            name: config_from_dict(
-                RecorderConfig, meta["recorder_config"],
-                f"manifest.variants.{name}.recorder_config")
-            for name, meta in manifest["variants"].items()}
-
-    @property
-    def variants(self) -> tuple[str, ...]:
-        """Recorder variant names in sorted order (the first is the
-        default replay and inspect target)."""
-        return tuple(sorted(self.manifest["variants"]))
-
-    @property
-    def total_instructions(self) -> int:
-        return sum(core.instructions for core in self.cores)
-
-    def recorder_config(self, variant: str) -> RecorderConfig:
-        """The recorder configuration one variant's logs were made with."""
-        return self._recorder_configs[pick_variant(self, variant)]
+class StoredRecording(RunResult):
+    """A :class:`~repro.sim.machine.RunResult` loaded from a recording
+    directory; its program and logs decode on first read."""
 
     def log_entries(self, variant: str) -> list[list]:
-        """Decode one variant's interval log per core."""
-        variant = pick_variant(self, variant)
-        recorder_config = self._recorder_configs[variant]
-        meta = self.manifest["variants"][variant]
-        per_core = []
-        for core in sorted(meta["cores"], key=lambda c: c["core_id"]):
-            data = (self.root / "logs" / variant /
-                    f"core{core['core_id']}.bin").read_bytes()
-            per_core.append(decode_log(data, core["bit_length"],
-                                       recorder_config))
-        return per_core
-
-    def edges(self, variant: str) -> list[IntervalEdge]:
-        """One variant's pairwise interval edges ([] if not collected)."""
-        if variant not in self.manifest["edges"]:
-            return []
-        rows = json.loads(
-            (self.root / "edges" / f"{variant}.json").read_text())
-        check_int_rows(rows, 4, f"edges/{variant}.json")
-        return [IntervalEdge(*row) for row in rows]
-
-    @cached_property
-    def dependence_edges(self) -> dict[str, list[IntervalEdge]]:
-        """Edges per variant that collected them (``record --edges``), as
-        in ``RunResult.dependence_edges``: a variant recorded without
-        edges is absent, one with zero edges maps to []."""
-        return {name: self.edges(name) for name in self.manifest["edges"]}
+        """One variant's interval log per core; a variant the recording
+        lacks raises :class:`LogFormatError` naming the available ones."""
+        return super().log_entries(pick_variant(self, variant))
 
     def replay(self, variant: str, *, verify: bool = True) -> ReplayResult:
         """Replay a stored variant, verifying against the stored execution."""
@@ -457,7 +344,15 @@ class StoredRecording:
 
 
 def load_recording(path: str | Path) -> StoredRecording:
-    """Open a recording directory written by :func:`save_recording`."""
+    """Open a recording directory written by :func:`save_recording`.
+
+    Every file is untrusted input.  The payload's parts are read in the
+    header's order and must match its length and SHA-256, so a changed
+    byte of ``program.json`` or of a log fails here; the rest of the
+    header is checked as a run file is
+    (:func:`~repro.sim.serialize.run_result_from_dict`).  Each mismatch
+    raises :class:`LogFormatError` naming its path.
+    """
     root = Path(path)
     manifest = json.loads((root / "manifest.json").read_text())
     check_type(manifest, (dict,), "manifest")
@@ -466,5 +361,20 @@ def load_recording(path: str | Path) -> StoredRecording:
         raise LogFormatError(
             f"unsupported recording format version {version!r} "
             f"(this build reads {FORMAT_VERSION})")
-    program = load_program(root / "program.json")
-    return StoredRecording(root, manifest, program)
+    check_keys(manifest, {"payload_bytes": (int,), "payload_sha256": (str,),
+                          "result": (dict,)}, "manifest")
+    header = manifest["result"]
+    payload = b"".join(part.read_bytes() for _, part in _parts(root, header))
+    if len(payload) != manifest["payload_bytes"]:
+        raise LogFormatError(f"the payload (program.json and the logs) has "
+                             f"{len(payload)} bytes, manifest.payload_bytes "
+                             f"says {manifest['payload_bytes']}")
+    if hashlib.sha256(payload).hexdigest() != manifest["payload_sha256"]:
+        raise LogFormatError("the payload (program.json and the logs) does "
+                             "not match its SHA-256, manifest.payload_sha256")
+    result = run_result_from_dict(header, payload)
+    # Copied field by field as stored: a read through the descriptors
+    # would decode the program and every log here.
+    stored = object.__new__(StoredRecording)
+    vars(stored).update(vars(result))
+    return stored

@@ -368,11 +368,13 @@ def _parse_addr_value(text: str) -> tuple[int, int | None]:
 
 
 def _summarize_directory(stored, args) -> int:
-    """The classic recording-directory summary (no replay needed)."""
+    """The classic recording-directory summary (no replay needed): each
+    variant's counts from the recorder's own stats; ``-v`` and
+    ``--analyze`` walk its decoded logs."""
     from .obs.inspect import LogSummary
 
     config = stored.config
-    print(f"recording: {stored.root}")
+    print(f"recording: {Path(args.recording)}")
     print(f"  program : {stored.program.name} "
           f"({stored.program.num_threads} threads, "
           f"{stored.program.total_instructions()} static instructions)")
@@ -380,12 +382,15 @@ def _summarize_directory(stored, args) -> int:
           f"{config.consistency.value}, {config.protocol.value}, "
           f"{stored.cycles} cycles")
     for variant in stored.variants:
+        stats = stored.recording_stats(variant)
+        entries = stats.frames + stats.inorder_blocks + stats.reordered_total
+        bits = stats.log_bits
+        print(f"  {variant}: {entries} entries, {stats.frames} intervals, "
+              f"{bits} bits ({bits / 8 / 1024:.2f} KiB on disk)")
+        if not (args.verbose or args.analyze):
+            continue
         summary = LogSummary.of(stored.log_entries(variant),
                                 stored.recorder_config(variant))
-        bits = summary.bits
-        print(f"  {variant}: {summary.entries} entries, "
-              f"{summary.intervals} intervals, "
-              f"{bits} bits ({bits / 8 / 1024:.2f} KiB on disk)")
         if args.verbose:
             for kind, count in sorted(summary.kinds.items()):
                 print(f"      {kind}: {count}")

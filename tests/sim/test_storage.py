@@ -1,8 +1,12 @@
 """Tests for on-disk recording persistence and the CLI tools."""
 
+import base64
 import dataclasses
+import hashlib
 import json
 import re
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -15,11 +19,16 @@ from repro.common.config import (
 )
 from repro.common.errors import LogFormatError, WorkloadError
 from repro.common.hashing import canonical_json
+from repro.harness.runner import baseline_factories_for
 from repro.isa.instructions import AluOp, Instruction, Opcode, RmwOp
-from repro.sim import Machine
+from repro.recorder.logfmt import IntervalFrame, decode_log, encode_log
+from repro.recorder.ordering import IntervalEdge
+from repro.sim import Machine, RunResult
 from repro.sim.serialize import run_result_to_dict
 from repro.storage import (
     FORMAT_VERSION,
+    config_from_dict,
+    config_to_dict,
     load_program,
     load_recording,
     program_from_dict,
@@ -29,6 +38,7 @@ from repro.storage import (
 )
 from repro.tools import main as tools_main
 from repro.workloads import WORKLOAD_NAMES, build_workload, random_program
+from repro.workloads.litmus import LITMUS_TESTS, litmus_program
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +242,36 @@ class TestProgramLoading:
         assert len(calls) == loaded.total_instructions()
 
 
+def redigest(root) -> None:
+    """Point the manifest of the recording directory ``root`` at its files
+    as they now are, as ``save_recording`` would: each payload reference,
+    the payload's length and its SHA-256."""
+    manifest = json.loads((root / "manifest.json").read_text())
+    header = manifest["result"]
+    payload = bytearray()
+
+    def add(path):
+        blob = path.read_bytes()
+        payload.extend(blob)
+        return [len(payload) - len(blob), len(blob)]
+
+    header["program"] = add(root / "program.json")
+    for name, outputs in header["recordings"].items():
+        for output in outputs:
+            output["log"] = add(root / "logs" / name /
+                                f"core{output['core_id']}.bin")
+    manifest.update(payload_bytes=len(payload),
+                    payload_sha256=hashlib.sha256(payload).hexdigest())
+    (root / "manifest.json").write_text(json.dumps(manifest))
+
+
+def edit_manifest(root, edit) -> None:
+    """Rewrite ``root``'s manifest after ``edit(manifest)`` changed it."""
+    manifest = json.loads((root / "manifest.json").read_text())
+    edit(manifest)
+    (root / "manifest.json").write_text(json.dumps(manifest))
+
+
 class TestRecordingRoundtrip:
     def test_save_and_load(self, recording, tmp_path):
         root = save_recording(recording, tmp_path / "rec")
@@ -246,7 +286,6 @@ class TestRecordingRoundtrip:
         for variant in ("opt", "base_256"):
             reloaded = stored.log_entries(variant)
             original = [o.entries for o in recording.recordings[variant]]
-            from repro.recorder.logfmt import IntervalFrame
             for got, want in zip(reloaded, original):
                 # CISNs wrap on disk; compare modulo the field width.
                 normalized = [
@@ -264,7 +303,7 @@ class TestRecordingRoundtrip:
     def test_edges_roundtrip(self, recording, tmp_path):
         root = save_recording(recording, tmp_path / "rec")
         stored = load_recording(root)
-        assert stored.edges("opt") == recording.dependence_edges["opt"]
+        assert stored.dependence_edges == recording.dependence_edges
 
     def test_tampered_log_detected(self, recording, tmp_path):
         root = save_recording(recording, tmp_path / "rec")
@@ -272,14 +311,12 @@ class TestRecordingRoundtrip:
         data = bytearray(log.read_bytes())
         data[len(data) // 2] ^= 0xFF
         log.write_bytes(bytes(data))
-        stored = load_recording(root)
-        from repro.common.errors import ReplayDivergenceError
-        with pytest.raises((ReplayDivergenceError, LogFormatError)):
-            stored.replay("opt")
+        with pytest.raises(LogFormatError, match="SHA-256"):
+            load_recording(root)
 
     def test_unknown_variant(self, recording, tmp_path):
         root = save_recording(recording, tmp_path / "rec")
-        with pytest.raises(LogFormatError):
+        with pytest.raises(LogFormatError, match="available: base_256, opt"):
             load_recording(root).log_entries("nonesuch")
 
     def test_version_check(self, recording, tmp_path):
@@ -297,6 +334,275 @@ class TestRecordingRoundtrip:
         assert stored.config.consistency is ConsistencyModel.RC
         assert stored.config.protocol is CoherenceProtocol.SNOOPY
         assert stored.config.replay_cost == recording.config.replay_cost
+
+
+#: The one recorder variant of the cache-form tests.
+OPT_4K = {"opt_4k": RecorderConfig(mode=RecorderMode.OPT,
+                                   max_interval_instructions=4096)}
+
+
+def _run(app="fft", consistency=ConsistencyModel.RC, **options):
+    """A 2-core, scale-0.05, seed-1 run of ``app`` under ``OPT_4K``."""
+    return Machine(MachineConfig(num_cores=2, consistency=consistency,
+                                 seed=1), OPT_4K).run(
+        build_workload(app, num_threads=2, scale=0.05, seed=1), **options)
+
+
+@pytest.fixture(scope="module")
+def fft_run():
+    return _run()
+
+
+class TestRecordingIsTheCacheForm:
+    """A recording directory is a result-cache entry split into files: a
+    manifest holding the entry's header and the payload's digest, and the
+    payload's parts (``program.json`` and one file per log)."""
+
+    @pytest.mark.parametrize("options", [
+        {}, {"consistency": ConsistencyModel.SC, "with_baselines": True},
+        {"consistency": ConsistencyModel.TSO, "with_baselines": True},
+        {"app": "lu", "collect_dependence_edges": True},
+        {"capture_load_trace": True},
+    ], ids=["rc", "sc-baselines", "tso-baselines", "edges", "load-trace"])
+    def test_round_trip_is_byte_identical(self, tmp_path, options):
+        """The loaded recording's wire form equals the run's, down to the
+        stats, TRAQ counters, metrics, baselines, edges and load trace."""
+        options = dict(options)
+        consistency = options.pop("consistency", ConsistencyModel.RC)
+        if options.pop("with_baselines", False):
+            options["baseline_factories"] = baseline_factories_for(
+                consistency)
+        result = _run(options.pop("app", "fft"), consistency, **options)
+        stored = load_recording(save_recording(result, tmp_path / "rec"))
+        assert isinstance(stored, RunResult)
+        assert json.dumps(stored.to_dict()) == json.dumps(result.to_dict())
+
+    def test_files_are_the_payload_parts(self, fft_run, tmp_path):
+        """``program.json`` is the program's JSON text and each log file
+        its hardware log, as the run file's base64 ``log`` holds it."""
+        root = save_recording(fft_run, tmp_path / "rec")
+        wire = fft_run.to_dict()
+        assert (root / "program.json").read_text() == \
+            json.dumps(wire["program"])
+        assert program_to_dict(load_program(root / "program.json")) == \
+            wire["program"]
+        for output in wire["recordings"]["opt_4k"]:
+            log = root / "logs" / "opt_4k" / f"core{output['core_id']}.bin"
+            assert log.read_bytes() == base64.b64decode(output["log"])
+            assert len(log.read_bytes()) == -(-output["bit_length"] // 8)
+        manifest = json.loads((root / "manifest.json").read_text())
+        assert manifest["format_version"] == FORMAT_VERSION == 2
+        assert manifest["result"]["recordings"]["opt_4k"][0]["stats"] == \
+            wire["recordings"]["opt_4k"][0]["stats"]
+
+    def test_load_decodes_nothing(self, fft_run, tmp_path, monkeypatch):
+        """Loading reads no program and no log through their decoders;
+        the first read does."""
+        from repro import storage
+        from repro.sim import serialize
+
+        root = save_recording(fft_run, tmp_path / "rec")
+        calls = []
+        monkeypatch.setattr(storage, "program_from_dict",
+                            lambda *args: calls.append("program"))
+        monkeypatch.setattr(serialize, "decode_log",
+                            lambda *args: calls.append("log"))
+        stored = load_recording(root)
+        assert calls == [] and stored.total_instructions > 0
+        stored.log_entries("opt_4k")
+        assert calls == ["log", "log"]
+
+    def test_every_sampled_bit_flip_is_refused(self, fft_run, tmp_path):
+        """Every 66th bit of each log (core 0's is 501 bytes), and 61 bits
+        spread over the program, flipped one at a time: each fails the
+        digest at load, before anything decodes."""
+        root = save_recording(fft_run, tmp_path / "rec")
+        logs = sorted((root / "logs" / "opt_4k").iterdir())
+        assert len(logs[0].read_bytes()) == 501
+        for part in [*logs, root / "program.json"]:
+            clean = part.read_bytes()
+            bits = len(clean) * 8
+            step = 66 if part in logs else -(-bits // 61)
+            for bit in range(0, bits, step):
+                data = bytearray(clean)
+                data[bit // 8] ^= 0x80 >> (bit % 8)
+                part.write_bytes(bytes(data))
+                with pytest.raises(LogFormatError, match=re.escape(
+                        "does not match its SHA-256")):
+                    load_recording(root)
+            part.write_bytes(clean)
+        assert load_recording(root).replay("opt_4k").verified
+
+    def test_changed_length_is_refused(self, fft_run, tmp_path):
+        root = save_recording(fft_run, tmp_path / "rec")
+        log = root / "logs" / "opt_4k" / "core1.bin"
+        log.write_bytes(log.read_bytes()[:-1])
+        with pytest.raises(LogFormatError,
+                           match="manifest.payload_bytes says"):
+            load_recording(root)
+
+    def test_redigested_bad_log_raises_on_first_read(self, fft_run,
+                                                     tmp_path):
+        root = save_recording(fft_run, tmp_path / "rec")
+        log = root / "logs" / "opt_4k" / "core1.bin"
+        data = bytearray(log.read_bytes())
+        data[0] |= 0xE0     # the unassigned entry type 7
+        log.write_bytes(bytes(data))
+        redigest(root)
+        stored = load_recording(root)
+        assert stored.recording_stats("opt_4k").log_bits > 0
+        for _ in range(2):  # a failed decode stays deferred
+            with pytest.raises(LogFormatError, match=re.escape(
+                    "recordings.opt_4k[1].log: bad entry type 7 at bit 0")):
+                stored.replay("opt_4k")
+
+    def test_redigested_bad_program_raises_on_first_read(self, fft_run,
+                                                         tmp_path):
+        root = save_recording(fft_run, tmp_path / "rec")
+        program = json.loads((root / "program.json").read_text())
+        program["threads"][1]["instructions"][0] = 5
+        (root / "program.json").write_text(json.dumps(program))
+        redigest(root)
+        stored = load_recording(root)
+        assert stored.total_instructions > 0
+        with pytest.raises(LogFormatError, match=re.escape(
+                "program.threads[1].instructions[0] must be an object")):
+            stored.replay("opt_4k")
+
+    def test_version_1_is_refused_by_name(self, fft_run, tmp_path):
+        root = save_recording(fft_run, tmp_path / "rec")
+        edit_manifest(root, lambda manifest: manifest.update(
+            format_version=1))
+        with pytest.raises(LogFormatError, match=re.escape(
+                "unsupported recording format version 1 (this build "
+                "reads 2)")):
+            load_recording(root)
+
+    @pytest.mark.parametrize("kind", ["dotdot", "absolute"])
+    def test_variant_name_must_be_one_path_component(self, fft_run, tmp_path,
+                                                     kind, monkeypatch,
+                                                     capsys):
+        """A variant renamed to ``..`` or to an absolute directory holding
+        its logs is refused before any file is opened."""
+        outside = tmp_path / "outside"
+        root = save_recording(fft_run, tmp_path / "rec")
+        shutil.copytree(root / "logs" / "opt_4k", outside)
+        name = ".." if kind == "dotdot" else str(outside)
+
+        def rename(manifest):
+            recordings = manifest["result"]["recordings"]
+            recordings[name] = recordings.pop("opt_4k")
+        edit_manifest(root, rename)
+        opened = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda path: (
+            opened.append(path), read_bytes(path))[1])
+        message = (f"recordings.{name}: a variant name must be one plain "
+                   f"path component")
+        with pytest.raises(LogFormatError, match=re.escape(message)):
+            load_recording(root)
+        assert opened == []
+        for command in ("replay", "inspect"):
+            assert tools_main([command, str(root)]) == 2
+            assert message in capsys.readouterr().err
+
+    def test_inspect_summary_reads_the_recorder_stats(self, fft_run,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+        """A plain ``inspect DIR`` decodes no log: its per-variant entries,
+        intervals and bits are the recorder's own counts."""
+        from repro.sim import serialize
+
+        root = save_recording(fft_run, tmp_path / "rec")
+        stats = fft_run.recording_stats("opt_4k")
+        entries = sum(len(core) for core in fft_run.log_entries("opt_4k"))
+        assert entries == (stats.frames + stats.inorder_blocks
+                           + stats.reordered_total)
+
+        def refuse(*args):
+            raise AssertionError("inspect DIR decoded a log")
+        monkeypatch.setattr(serialize, "decode_log", refuse)
+        assert tools_main(["inspect", str(root)]) == 0
+        bits = stats.log_bits
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"  opt_4k: {entries} entries, {stats.frames} intervals, "
+            f"{bits} bits ({bits / 8 / 1024:.2f} KiB on disk)")
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    program = litmus_program(LITMUS_TESTS["MP"], staggers=(0, 5))
+    config = MachineConfig(num_cores=2,
+                           consistency=ConsistencyModel("RC"))
+    return Machine(config).run(program, collect_dependence_edges=True)
+
+
+class TestEdgeEncoding:
+    def test_cisn_edges_round_trip_through_disk(self, recorded, tmp_path):
+        root = save_recording(recorded, tmp_path / "rec")
+        stored = load_recording(root)
+        original = recorded.dependence_edges["default"]
+        loaded = stored.dependence_edges["default"]
+        assert loaded == original
+        assert all(isinstance(edge, IntervalEdge) for edge in loaded)
+        # The on-disk form is plain 4-int rows, wire-stable.
+        rows = json.loads((root / "manifest.json").read_text())[
+            "result"]["dependence_edges"]["default"]
+        assert rows == [[e.src_core, e.src_cisn, e.dst_core, e.dst_cisn]
+                        for e in original]
+
+    def test_edges_not_collected_are_absent(self, tmp_path):
+        """A variant recorded without edges has no entry, which tells "not
+        collected" apart from "no edges"."""
+        program = litmus_program(LITMUS_TESTS["MP"], staggers=(0, 5))
+        result = Machine(MachineConfig(num_cores=2)).run(program)
+        stored = load_recording(save_recording(result, tmp_path / "rec"))
+        assert stored.dependence_edges == {}
+
+    def test_edges_reference_recorded_cisns(self, recorded):
+        per_core = [output.entries
+                    for output in recorded.recordings["default"]]
+        intervals = [sum(isinstance(entry, IntervalFrame)
+                         for entry in core) for core in per_core]
+        for edge in recorded.dependence_edges["default"]:
+            assert 0 <= edge.src_cisn < intervals[edge.src_core]
+            assert 0 <= edge.dst_cisn < intervals[edge.dst_core]
+
+
+class TestRecorderConfigWidths:
+    @pytest.mark.parametrize("cisn_bits", [8, 16, 24])
+    def test_bit_widths_survive_the_dict_round_trip(self, cisn_bits):
+        config = RecorderConfig(mode=RecorderMode.BASE, nmi_bits=6,
+                                cisn_bits=cisn_bits,
+                                max_interval_instructions=512)
+        clone = config_from_dict(RecorderConfig, config_to_dict(config))
+        assert clone == config
+        assert clone.cisn_bits == cisn_bits
+        assert clone.nmi_bits == 6
+        assert clone.mode is RecorderMode.BASE
+
+    def test_log_decodes_only_with_the_recording_widths(self, recorded):
+        output = recorded.recordings["default"][0]
+        data, bits = encode_log(output.entries, output.config)
+        assert decode_log(data, bits, output.config) == output.entries
+        # A mismatched CISN width misparses the stream (different entry
+        # sizes), so decode must not silently return the same entries.
+        narrow = RecorderConfig(mode=output.config.mode, cisn_bits=8)
+        try:
+            misread = decode_log(data, bits, narrow)
+        except LogFormatError:
+            return
+        assert misread != output.entries
+
+    def test_manifest_preserves_widths(self, recorded, tmp_path):
+        root = save_recording(recorded, tmp_path / "rec")
+        manifest = json.loads((root / "manifest.json").read_text())
+        meta = manifest["result"]["recordings"]["default"][0]["config"]
+        assert meta["cisn_bits"] == 16
+        assert meta["nmi_bits"] == 4
+        stored = load_recording(root)
+        replayed = stored.replay("default")
+        assert replayed.verified
 
 
 class TestCli:

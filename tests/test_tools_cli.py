@@ -9,6 +9,7 @@ import pytest
 from repro.storage import save_program
 from repro.tools import main
 from repro.workloads.litmus import LITMUS_TESTS, litmus_program
+from tests.sim.test_storage import redigest
 
 
 @pytest.fixture(scope="module")
@@ -45,13 +46,16 @@ def two_variants(tmp_path_factory):
 
 def _tampered(rec, tmp_path, mutate, name="manifest.json"):
     """A copy of the recording directory ``rec`` whose parsed ``name``
-    file went through ``mutate``."""
+    file went through ``mutate``; a changed payload part, such as
+    ``program.json``, is re-digested so that it reaches its decoder."""
     copy = tmp_path / "tampered"
     shutil.rmtree(copy, ignore_errors=True)
     shutil.copytree(rec, copy)
     data = json.loads((copy / name).read_text())
     mutate(data)
     (copy / name).write_text(json.dumps(data))
+    if name != "manifest.json":
+        redigest(copy)
     return copy
 
 
@@ -243,7 +247,8 @@ class TestFailureExitCodes:
 
     def test_malformed_manifest(self, run_json, tmp_path, capsys):
         """Each malformed manifest makes both replay and inspect exit 2
-        with one error line naming the bad key's path."""
+        with one error line naming the bad key's path.  Below
+        ``manifest.result`` the path is the one a run file's error names."""
         variant = "opt_4096"
 
         def setter(*path, value):
@@ -257,28 +262,44 @@ class TestFailureExitCodes:
                     parent[path[-1]] = value
             return mutate
 
+        def result(*path, value):
+            return setter("result", *path, value=value)
+
+        recording = f"recordings.{variant}[0]"
         cases = [
-            ("manifest.cycles", setter("cycles", value="x")),
-            ("manifest.verification.cores",
-             setter("verification", "cores", value=5)),
-            ("manifest.variants", setter("variants", value=[])),
-            (f"manifest.variants.{variant}.cores[0].bit_length",
-             setter("variants", variant, "cores", 0, "bit_length",
-                    value="9")),
-            (f"manifest.variants.{variant}.recorder_config",
-             setter("variants", variant, "recorder_config", value=3)),
-            (f"manifest.variants.{variant}.recorder_config.cisn_bits",
-             setter("variants", variant, "recorder_config", "cisn_bits",
+            ("manifest is missing key 'payload_sha256'",
+             setter("payload_sha256", value=None)),
+            ("manifest.payload_bytes must be an integer",
+             setter("payload_bytes", value="9")),
+            ("manifest.result must be an object",
+             setter("result", value=[])),
+            ("run result key 'cycles' must be an integer",
+             result("cycles", value="x")),
+            ("run result key 'cores' must be an array",
+             result("cores", value=5)),
+            ("run result key 'recordings' must be an object",
+             result("recordings", value=[])),
+            (f"{recording}.bit_length must be an integer",
+             result("recordings", variant, 0, "bit_length", value="9")),
+            (f"{recording}.core_id must be an integer",
+             result("recordings", variant, 0, "core_id", value="0")),
+            (f"{recording}.config must be an object",
+             result("recordings", variant, 0, "config", value=3)),
+            (f"{recording}.config.cisn_bits must be an integer",
+             result("recordings", variant, 0, "config", "cisn_bits",
                     value="x")),
-            ("manifest.verification.final_memory",
-             setter("verification", "final_memory", value=[1])),
-            ("manifest is missing key 'verification'",
-             setter("verification", value=None)),
-            ("manifest.config", setter("config", value=[])),
-            ("manifest.config.l1", setter("config", "l1", value=[1])),
-            ("manifest.config.consistency has unknown value 'XYZ'",
-             setter("config", "consistency", value="XYZ")),
-            ("manifest.edges.opt_4096", setter("edges", variant, value="2")),
+            ("run result key 'final_memory' must be an object",
+             result("final_memory", value=[1])),
+            ("run result is missing key 'final_memory'",
+             result("final_memory", value=None)),
+            ("run result key 'config' must be an object",
+             result("config", value=[])),
+            ("config.l1 must be an object", result("config", "l1",
+                                                   value=[1])),
+            ("config.consistency has unknown value 'XYZ'",
+             result("config", "consistency", value="XYZ")),
+            (f"dependence_edges.{variant} must be an array",
+             result("dependence_edges", variant, value="2")),
         ]
         for where, mutate in cases:
             bad = _tampered(run_json["rec"], tmp_path, mutate)
@@ -333,9 +354,8 @@ class TestFailureExitCodes:
         for where, mutate in cases:
             directory = _tampered(
                 run_json["rec"], tmp_path,
-                lambda manifest: mutate(
-                    manifest["verification"]["final_memory"],
-                    manifest["verification"]["cores"]))
+                lambda manifest: mutate(manifest["result"]["final_memory"],
+                                        manifest["result"]["cores"]))
             data = json.loads(run_json["run"].read_text())
             mutate(data["final_memory"], data["cores"])
             run_file.write_text(json.dumps(data))
@@ -457,7 +477,7 @@ class TestReplayVerifiesEveryForm:
     def test_flipped_final_memory_word_diverges(self, run_json, tmp_path,
                                                 capsys, parallel):
         def flip(manifest):
-            memory = manifest["verification"]["final_memory"]
+            memory = manifest["result"]["final_memory"]
             addr = min(memory, key=int)
             memory[addr] ^= 1
 
@@ -472,7 +492,7 @@ class TestReplayVerifiesEveryForm:
     def test_flipped_final_register_diverges(self, run_json, tmp_path,
                                              capsys, parallel):
         def flip(manifest):
-            manifest["verification"]["cores"][1]["final_regs"][3] ^= 1
+            manifest["result"]["cores"][1]["final_regs"][3] ^= 1
 
         bad = _tampered(run_json["rec"], tmp_path, flip)
         argv = ["replay", str(bad)] + (["--parallel"] if parallel else [])
@@ -487,14 +507,15 @@ class TestReplayVerifiesEveryForm:
         holds no variant, is rejected instead of replayed with a core
         unchecked or not replayed at all."""
         def truncate(manifest):
-            del manifest["verification"]["cores"][1:]
+            del manifest["result"]["cores"][1:]
 
         def empty(manifest):
-            manifest["variants"] = {}
+            manifest["result"]["recordings"] = {}
 
         for mutate, message in ((truncate, "final state of 1 cores"),
                                 (empty, "no variant to replay")):
             bad = _tampered(run_json["rec"], tmp_path, mutate)
+            redigest(bad)   # a dropped variant's logs leave the payload
             assert main(["replay", str(bad)]) == 2, message
             err = capsys.readouterr().err
             assert err.count("error:") == 1, err
