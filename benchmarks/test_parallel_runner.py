@@ -1,4 +1,4 @@
-"""Benchmarks for the parallel sharded runner and the result cache.
+"""Benchmarks for the sweep runner's pool and the result cache.
 
 Asserts the two acceptance properties of the sweep infrastructure:
 
@@ -19,7 +19,6 @@ from repro.harness import (
     fig1_ooo_fractions,
     fig9_reordered_fractions,
 )
-from repro.harness.parallel_runner import ParallelRunner, ResultCache
 from repro.harness.report import render_all
 from repro.harness.runner import RunKey, default_scale
 
@@ -31,22 +30,28 @@ def _grid():
             for name in WORKLOADS]
 
 
+def _sweep(cache_dir):
+    """Prefetch the grid at four jobs: the shards recorded and the
+    results by key."""
+    runner = ExperimentRunner(jobs=4, cache_dir=str(cache_dir))
+    executed = runner.prefetch(_grid())
+    return executed, {key: runner.result(key) for key in _grid()}
+
+
 def test_warm_cache_rerun_is_5x_faster(benchmark, tmp_path, show):
     cache_dir = tmp_path / "cache"
-    cold_runner = ParallelRunner(jobs=4, cache=ResultCache(cache_dir))
     started = time.perf_counter()
-    cold_results = once(benchmark, lambda: cold_runner.run(_grid()))
+    cold_executed, cold_results = once(benchmark, lambda: _sweep(cache_dir))
     cold = time.perf_counter() - started
 
-    warm_runner = ParallelRunner(jobs=4, cache=ResultCache(cache_dir))
     started = time.perf_counter()
-    warm_results = warm_runner.run(_grid())
+    warm_executed, warm_results = _sweep(cache_dir)
     warm = time.perf_counter() - started
 
     show(f"sweep over {len(WORKLOADS)} shards: cold {cold:.2f}s "
-         f"({cold_runner.executed} recorded), warm {warm:.2f}s "
-         f"({warm_runner.executed} recorded, speedup {cold / warm:.1f}x)")
-    assert warm_runner.executed == 0, "warm sweep must be all cache hits"
+         f"({cold_executed} recorded), warm {warm:.2f}s "
+         f"({warm_executed} recorded, speedup {cold / warm:.1f}x)")
+    assert warm_executed == 0, "warm sweep must be all cache hits"
     assert warm * 5 <= cold, \
         f"warm rerun only {cold / warm:.1f}x faster (need >= 5x)"
     for key in _grid():

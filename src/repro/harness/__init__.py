@@ -14,7 +14,6 @@ from .figures import (
     table1_parameters,
 )
 from .parallel_runner import (
-    ParallelRunner,
     ResultCache,
     ShardPool,
     SweepError,
@@ -45,7 +44,6 @@ __all__ = [
     "format_table",
     "render_all",
     "render_sweep_summary",
-    "ParallelRunner",
     "ResultCache",
     "ShardPool",
     "SweepError",

@@ -1,9 +1,10 @@
-"""Parallel sharded experiment executor with a persistent result cache.
+"""The result cache and the shard pool under the sweep runner.
 
 The paper's evaluation sweeps (workload x cores x consistency-model x
 recorder-variant) grids; each cell — a *shard* — is one full recorded
-execution and is by far the expensive step.  This module provides the
-production path for those sweeps:
+execution and is by far the expensive step.
+:class:`~repro.harness.runner.ExperimentRunner` drives every sweep
+through the two pieces this module provides:
 
 * :class:`ResultCache` — a content-addressed result cache in one SQLite
   file (:class:`~repro.harness.cachestore.SQLiteStore`), by default
@@ -24,60 +25,29 @@ production path for those sweeps:
   never idles the rest of the pool.  Replies come back in submission
   order; shards get a per-shard timeout and a retry budget, and anything
   still failing raises :class:`SweepError` naming the shard.
-
-* :class:`ParallelRunner` — satisfies a sweep grid from the cache and
-  runs the rest through a :class:`ShardPool`.  Each worker executes
-  :func:`repro.harness.runner.execute_run` (the exact code path the
-  serial runner uses) and returns the result in the JSON wire format of
-  :mod:`repro.sim.serialize`, plus a small counter export that the parent
-  folds into its :class:`~repro.obs.metrics.MetricsRegistry`.
-
-* Cross-process telemetry (:mod:`repro.obs.telemetry`): every shard's
-  full metrics snapshot — and, when
-  :class:`~repro.obs.telemetry.TelemetryConfig` opts in, a bounded trace
-  ring buffer — is ingested by a :class:`TelemetryAggregator` and folded
-  into the sweep registry as a deterministic rollup, so a parallel
-  sweep's merged metrics are identical to a serial sweep's.  Malformed
-  worker telemetry is quarantined, never fatal.  A
-  :class:`~repro.obs.telemetry.SweepProgress` tracker emits per-shard
-  completion lines with ETA plus periodic heartbeats.
-
-Because every completed shard lands in the cache immediately, an
-interrupted sweep is resumable: a rerun skips the cached shards and only
-executes what is missing.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import sys
 import time
 import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
 from pathlib import Path
 
 from ..common.config import RecorderConfig
 from ..common.errors import ReproError
 from ..common.hashing import stable_digest
-from ..obs.logging import get_logger
-from ..obs.metrics import MetricsRegistry, MetricsSnapshot
-from ..obs.telemetry import (TELEMETRY_FORMAT, SweepProgress,
-                             TelemetryAggregator, TelemetryConfig)
 from ..sim.machine import RunResult
 from ..sim.serialize import (SERIALIZATION_VERSION, check_keys,
                              split_run_result)
 from .cachestore import SQLiteStore, parse_backend
-from .runner import VARIANTS, RunKey, execute_run
-
-_LOG = get_logger("harness.sweep")
+from .runner import VARIANTS, RunKey
 
 __all__ = ["CACHE_FORMAT", "DEFAULT_CACHE_DIR", "CACHE_FILE", "SweepError",
-           "cache_key", "ResultCache", "ShardOutcome", "ShardPool",
-           "ParallelRunner"]
+           "cache_key", "ResultCache", "ShardPool"]
 
 #: Bumped when the cache envelope layout changes.
 #: v2: a JSON header line, then the payload (program and logs) it digests.
@@ -270,73 +240,6 @@ class ResultCache:
         return len(self.store)
 
 
-# -------------------------------------------------------- worker protocol
-
-def _execute_shard(payload: dict) -> dict:
-    """Worker entry point: record one shard, return the wire-format dict.
-
-    ``payload`` and the return value are plain JSON-able dicts — the
-    whole worker protocol round-trips through
-    :mod:`repro.sim.serialize`, which is also what lets results come back
-    across the process boundary and land directly in the cache.
-    """
-    started = time.perf_counter()
-    key = RunKey.from_dict(payload["key"])
-    from ..storage import config_from_dict
-    variants = {name: config_from_dict(RecorderConfig, data)
-                for name, data in payload["variants"].items()}
-    telemetry = payload.get("telemetry") or {}
-    tracer = None
-    if telemetry.get("capture_trace"):
-        from ..obs.tracer import Tracer
-        tracer = Tracer(capacity=int(telemetry.get("trace_capacity", 4096)))
-    result = execute_run(key, variants, tracer=tracer)
-    wall = time.perf_counter() - started
-    telemetry_reply = None
-    if tracer is not None:
-        from ..obs.exporters import event_to_dict
-        # Trace accounting travels in this side channel, never in the
-        # result: the RunResult a traced shard returns (and caches) must
-        # stay byte-identical to an untraced run of the same key.
-        if result.metrics is not None:
-            result.metrics = MetricsSnapshot(
-                {name: value for name, value in result.metrics.values.items()
-                 if not name.startswith("obs.trace.")})
-        telemetry_reply = {
-            "format": TELEMETRY_FORMAT,
-            "trace": [event_to_dict(event) for event in tracer.events()],
-            "trace_stats": tracer.stats(),
-        }
-    reply = {
-        "key": payload["key"],
-        "attempt": payload["attempt"],
-        "result": result.to_dict(),
-        "wall_seconds": wall,
-        "counters": {
-            "instructions": result.total_instructions,
-            "mem_instructions": result.total_mem_instructions,
-            "cycles": result.cycles,
-            "bus_transactions": result.bus_transactions,
-        },
-        "worker": {"pid": os.getpid()},
-    }
-    if telemetry_reply is not None:
-        reply["telemetry"] = telemetry_reply
-    return reply
-
-
-
-
-@dataclass(frozen=True)
-class ShardOutcome:
-    """How one shard of a sweep was satisfied."""
-
-    key: RunKey
-    source: str          # "cache" | "run"
-    attempts: int
-    wall_seconds: float
-
-
 class ShardPool:
     """Generic sharded map executor (the engine under the sweep runner).
 
@@ -346,9 +249,10 @@ class ShardPool:
     folding them is deterministic no matter how completions interleave.
     At ``jobs>1`` the items wait in one queue and each free worker takes
     the next one from its head, so a straggler never strands the items
-    behind it.  :class:`ParallelRunner` drives its sweeps through this;
-    the fuzzer (:mod:`repro.fuzz.scheduler`) drives candidate evaluation
-    through the very same pool with its own worker body.
+    behind it.  :class:`~repro.harness.runner.ExperimentRunner` drives
+    its sweeps through this; the fuzzer (:mod:`repro.fuzz.scheduler`)
+    drives candidate evaluation through the very same pool with its own
+    worker body.
 
     ``map`` callbacks (all optional) fire as shards progress:
     ``on_complete(index, item, reply)`` per success (completion order),
@@ -374,8 +278,8 @@ class ShardPool:
 
         ``payload`` builds the (picklable) attempt payload; ``describe``
         renders an item for error and retry lines.  ``executor``
-        optionally reuses a warmed pool (benchmarks); at ``jobs>1`` one
-        is created for the call when absent.
+        optionally supplies the pool (tests pass a thread pool); at
+        ``jobs>1`` one is created for the call when absent.
         """
         items = list(items)
         if not items:
@@ -483,173 +387,3 @@ class ShardPool:
                         observe_seconds(time.perf_counter() - started)
                 complete(index, reply)
                 break
-
-
-class ParallelRunner:
-    """Process-pool executor for (workload x cores x model) sweep grids.
-
-    Parameters
-    ----------
-    jobs:
-        Worker-pool width; ``1`` runs shards serially in-process (no
-        pool), which is also the fallback the tests exercise.
-    cache:
-        Optional :class:`ResultCache` consulted before executing a shard
-        and populated as shards complete (this is what makes interrupted
-        sweeps resumable).
-    variants:
-        Recorder variant configs attached to every shard (defaults to the
-        harness ``VARIANTS``); part of the cache key.
-    timeout_s:
-        Per-shard wall-clock budget.  A shard that exceeds it counts as a
-        failure (the stuck worker cannot be killed portably, but its
-        result is discarded) and is retried on a fresh worker.
-    retries:
-        How many additional attempts a failed/timed-out shard gets
-        (default 1: "retry once").
-    registry:
-        :class:`~repro.obs.metrics.MetricsRegistry` receiving sweep
-        progress counters (``sweep.*``) and worker counter exports
-        (``sweep.worker.*``); a private one is created if absent.
-    progress:
-        Optional callable (or ``True`` for stderr) fed one human-readable
-        line per completed shard; when absent, the lines go to the
-        ``repro.harness.sweep`` structured logger at INFO instead.
-    worker:
-        The picklable shard function (test seam; defaults to the real
-        :func:`_execute_shard`).
-    telemetry:
-        :class:`~repro.obs.telemetry.TelemetryConfig` controlling what
-        workers capture beyond the result (trace ring buffers are
-        opt-in).  Worker metrics snapshots are always folded into
-        ``registry`` through the :attr:`aggregator`, so a parallel
-        sweep's merged metrics match the serial path.
-    """
-
-    def __init__(self, *, jobs: int | None = None,
-                 cache: ResultCache | None = None,
-                 variants: dict[str, RecorderConfig] | None = None,
-                 timeout_s: float | None = None, retries: int = 1,
-                 registry: MetricsRegistry | None = None,
-                 progress=None, worker=None,
-                 telemetry: TelemetryConfig | None = None):
-        self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
-        self.cache = cache
-        self.variants = VARIANTS if variants is None else dict(variants)
-        self.timeout_s = timeout_s
-        self.retries = max(0, retries)
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.worker = worker if worker is not None else _execute_shard
-        if progress is True:
-            progress = lambda line: print(line, file=sys.stderr)  # noqa: E731
-        self.progress = progress
-        self.telemetry = telemetry if telemetry is not None else TelemetryConfig()
-        self.aggregator = TelemetryAggregator()
-        self._progress_tracker: SweepProgress | None = None
-        self.executed = 0
-        self.outcomes: list[ShardOutcome] = []
-
-    # ------------------------------------------------------------- driving
-
-    def run(self, keys) -> dict[RunKey, RunResult]:
-        """Satisfy every shard in ``keys`` (cache first, then the pool)."""
-        ordered: list[RunKey] = []
-        for key in keys:
-            if key not in ordered:
-                ordered.append(key)
-        sweep = self.registry.scoped("sweep")
-        sweep.counter("shards_total").inc(len(ordered))
-        sweep.gauge("jobs").set(self.jobs)
-        started = time.perf_counter()
-        self._progress_tracker = SweepProgress(
-            len(ordered), jobs=self.jobs, emit=self._note,
-            heartbeat_s=self.telemetry.heartbeat_s)
-
-        results: dict[RunKey, RunResult] = {}
-        pending: list[RunKey] = []
-        for key in ordered:
-            cached = (self.cache.get(key, self.variants)
-                      if self.cache is not None else None)
-            if cached is not None:
-                results[key] = cached
-                self.outcomes.append(ShardOutcome(key, "cache", 0, 0.0))
-                self.aggregator.ingest(key.label(), metrics=cached.metrics,
-                                       source="cache")
-                self._progress_tracker.shard_done(key.describe(), "cache")
-            else:
-                pending.append(key)
-        sweep.counter("cache_hits").inc(len(ordered) - len(pending))
-
-        if pending:
-            self._execute(pending, results)
-        if self.cache is not None:
-            self.registry.set_counters(self.cache.counters(),
-                                       prefix="sweep.cache")
-        sweep.counter("executed").value = self.executed
-        sweep.gauge("wall_seconds").set(time.perf_counter() - started)
-        # Fold every shard's telemetry (worker metrics snapshots + any
-        # trace accounting) into the sweep registry; deterministic merge,
-        # so parallel and serial sweeps export identical metrics.
-        self.aggregator.merge_into(self.registry)
-        return results
-
-    def _execute(self, pending, results) -> None:
-        """Drive the outstanding shards through the shard pool."""
-        sweep = self.registry.scoped("sweep")
-
-        def on_retry(key: RunKey, attempt: int, reason: str) -> None:
-            sweep.counter("retried").inc()
-            self._note(f"[sweep] {key.describe()}: {reason}; retrying")
-
-        pool = ShardPool(jobs=self.jobs, worker=self.worker,
-                         timeout_s=self.timeout_s, retries=self.retries)
-        pool.map(pending, payload=self._payload, describe=RunKey.describe,
-                 on_complete=lambda index, key, reply:
-                     self._accept(key, reply, results),
-                 on_retry=on_retry,
-                 on_timeout=lambda key, attempt:
-                     sweep.counter("timeouts").inc(),
-                 observe_seconds=sweep.distribution("shard_seconds").observe,
-                 heartbeat=lambda in_flight:
-                     self._progress_tracker.heartbeat(in_flight),
-                 heartbeat_s=self.telemetry.heartbeat_s)
-
-    # ------------------------------------------------------------ plumbing
-
-    def _payload(self, key: RunKey, attempt: int) -> dict:
-        from ..storage import config_to_dict
-        return {
-            "protocol_version": SERIALIZATION_VERSION,
-            "key": key.to_dict(),
-            "attempt": attempt,
-            "variants": {name: config_to_dict(config)
-                         for name, config in self.variants.items()},
-            "telemetry": self.telemetry.to_dict(),
-        }
-
-    def _accept(self, key: RunKey, reply: dict, results: dict) -> None:
-        result = RunResult.from_dict(reply["result"])
-        results[key] = result
-        self.executed += 1
-        attempts = reply.get("attempt", 0) + 1
-        wall = reply.get("wall_seconds", 0.0)
-        self.outcomes.append(ShardOutcome(key, "run", attempts, wall))
-        self.registry.inc_counters(reply.get("counters", {}),
-                                   prefix="sweep.worker")
-        self.registry.scoped("sweep").counter("shards_run").inc()
-        # A malformed telemetry payload is quarantined inside the
-        # aggregator, never raised: one corrupt reply must not kill the
-        # sweep (the result itself already validated via from_dict).
-        self.aggregator.ingest(key.label(), metrics=result.metrics,
-                               payload=reply.get("telemetry"), source="run")
-        if self.cache is not None:
-            self.cache.put(key, result, self.variants,
-                           meta={"wall_seconds": wall,
-                                 "worker": reply.get("worker", {})})
-        self._progress_tracker.shard_done(key.describe(), "run", wall)
-
-    def _note(self, line: str) -> None:
-        if self.progress is not None:
-            self.progress(line)
-        else:
-            _LOG.info(line)

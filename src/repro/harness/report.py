@@ -175,9 +175,8 @@ def render_metrics(data: dict) -> str:
 
 
 def render_sweep_summary(snapshot) -> str:
-    """One-table summary of a parallel prefetch sweep, from the ``sweep.*``
-    counters a :class:`~repro.harness.parallel_runner.ParallelRunner`
-    exports into its metrics registry."""
+    """One-table summary of a prefetch sweep, from the ``sweep.*`` metrics
+    of :meth:`~repro.harness.runner.ExperimentRunner.sweep_metrics`."""
     values = snapshot.to_dict()
     rows = []
     for label, name in (

@@ -16,10 +16,9 @@ Three pillars, all zero-cost when disabled:
 
 Sweep-scale additions (see ``docs/internals.md``):
 
-* **Cross-process telemetry** (:mod:`.telemetry`): worker metrics and
-  optional trace ring buffers shipped through the sweep wire format and
-  merged deterministically by a :class:`TelemetryAggregator`, with
-  :class:`SweepProgress` heartbeat/ETA lines.
+* **Sweep rollups** (:func:`rollup_snapshots`): many runs' metrics
+  snapshots merged by key-suffix rules in label order, which is how a
+  sweep's ``sweep.rollup.*`` metrics are computed.
 * **Cycle-attribution profiler** (:mod:`.profiler`): a
   :class:`KernelProfiler` attributing simulated cycles (busy vs stall
   reasons) and host wall time (per-component) for one machine run.
@@ -83,6 +82,7 @@ from .metrics import (
     Gauge,
     MetricsRegistry,
     MetricsSnapshot,
+    rollup_snapshots,
 )
 from .perfdb import (
     PerfRecord,
@@ -94,12 +94,6 @@ from .perfdb import (
     regression_report,
 )
 from .profiler import KernelProfiler, profile_to_chrome, render_profile
-from .telemetry import (
-    ShardTelemetry,
-    SweepProgress,
-    TelemetryAggregator,
-    TelemetryConfig,
-)
 from .tracer import Tracer
 
 __all__ = [
@@ -124,6 +118,7 @@ __all__ = [
     "DistributionMetric",
     "MetricsRegistry",
     "MetricsSnapshot",
+    "rollup_snapshots",
     "event_to_dict",
     "export_jsonl",
     "chrome_trace_events",
@@ -141,10 +136,6 @@ __all__ = [
     "StateView",
     "ReplayInspector",
     "LogSummary",
-    "TelemetryConfig",
-    "TelemetryAggregator",
-    "ShardTelemetry",
-    "SweepProgress",
     "KernelProfiler",
     "render_profile",
     "profile_to_chrome",

@@ -20,7 +20,11 @@ from dataclasses import dataclass, field
 from ..common.stats import Histogram, OnlineStats
 
 __all__ = ["Counter", "Gauge", "DistributionMetric", "MetricsRegistry",
-           "MetricsSnapshot"]
+           "MetricsSnapshot", "rollup_snapshots"]
+
+#: Snapshot-key suffixes whose values cannot be merged across runs
+#: (order-sensitive or non-additive); dropped from rollups.
+_DROPPED_SUFFIXES = (".stddev", ".p50", ".p95", ".p99")
 
 
 class Counter:
@@ -137,6 +141,60 @@ class MetricsSnapshot:
                 if name.startswith(dotted)}
 
 
+def rollup_snapshots(snapshots: dict) -> dict:
+    """Merge many runs' snapshots (``{label: snapshot or dict}``) into one.
+
+    Labels are visited in sorted order, so the merge does not depend on
+    the order runs finished in.  By key suffix: ``.count`` and plain
+    integer metrics sum, ``.min``/``.max`` take the extreme, ``.mean`` is
+    weighted by its sibling ``.count``, other floats average, and strings
+    and order-sensitive keys (``.stddev``, percentiles) are dropped rather
+    than merged wrongly.
+    """
+    sums: dict[str, int | float] = {}
+    mins: dict[str, float] = {}
+    maxs: dict[str, float] = {}
+    means: dict[str, list[tuple[float, float]]] = {}
+    float_totals: dict[str, float] = {}
+    float_counts: dict[str, int] = {}
+    for label in sorted(snapshots):
+        metrics = snapshots[label]
+        if isinstance(metrics, MetricsSnapshot):
+            metrics = metrics.values
+        for name, value in metrics.items():
+            if name.endswith(_DROPPED_SUFFIXES) or isinstance(value, str):
+                continue
+            if name.endswith(".count"):
+                sums[name] = sums.get(name, 0) + value
+            elif name.endswith(".min"):
+                mins[name] = min(mins.get(name, value), value)
+            elif name.endswith(".max"):
+                maxs[name] = max(maxs.get(name, value), value)
+            elif name.endswith(".mean"):
+                weight = metrics.get(name[:-len(".mean")] + ".count", 1)
+                means.setdefault(name, []).append((value, weight))
+            elif isinstance(value, int):
+                sums[name] = sums.get(name, 0) + value
+            else:
+                float_totals[name] = float_totals.get(name, 0.0) + value
+                float_counts[name] = float_counts.get(name, 0) + 1
+    out: dict = {}
+    out.update(sums)
+    out.update(mins)
+    out.update(maxs)
+    for name, observations in means.items():
+        total_weight = sum(weight for _, weight in observations)
+        if total_weight > 0:
+            out[name] = (sum(value * weight for value, weight in observations)
+                         / total_weight)
+        else:
+            out[name] = (sum(value for value, _ in observations)
+                         / len(observations))
+    for name, total in float_totals.items():
+        out[name] = total / float_counts[name]
+    return dict(sorted(out.items()))
+
+
 class MetricsRegistry:
     """Component-scoped registry of named metrics."""
 
@@ -177,8 +235,8 @@ class MetricsRegistry:
             self.counter(dotted + name).value = value
 
     def inc_counters(self, values: dict[str, int], *, prefix: str = "") -> None:
-        """Accumulate counter deltas (merging counters exported by sweep
-        worker processes into the parent registry)."""
+        """Accumulate counter deltas (a sweep sums each recorded shard's
+        totals under ``sweep.worker``)."""
         dotted = prefix + "." if prefix else ""
         for name, value in values.items():
             self.counter(dotted + name).inc(value)

@@ -492,21 +492,18 @@ def int_map_from_dict(data, path: str) -> dict[int, int]:
     return decoded
 
 
-def final_state_from_dict(final_memory, cores: list,
-                          path: str = "") -> dict[int, int]:
-    """Check a serialized final machine state below ``path``: each element
-    of each ``cores[i].final_regs`` must be an integer, and
-    ``final_memory`` a memory image (:func:`int_map_from_dict`).  Returns
-    the decoded final memory; the first mismatch raises
-    :class:`LogFormatError` naming its path, e.g.
-    ``manifest.verification.cores[0].final_regs[1]``."""
-    prefix = f"{path}." if path else ""
+def final_state_from_dict(final_memory, cores: list) -> dict[int, int]:
+    """Check a serialized final machine state: each element of each
+    ``cores[i].final_regs`` must be an integer, and ``final_memory`` a
+    memory image (:func:`int_map_from_dict`).  Returns the decoded final
+    memory; the first mismatch raises :class:`LogFormatError` naming its
+    path, ``cores[i].final_regs[j]`` or ``final_memory[...]``."""
     for index, core in enumerate(cores):
         for reg, value in enumerate(core["final_regs"]):
             if type(value) is not int:
                 check_type(value, (int,),
-                           f"{prefix}cores[{index}].final_regs[{reg}]")
-    return int_map_from_dict(final_memory, f"{prefix}final_memory")
+                           f"cores[{index}].final_regs[{reg}]")
+    return int_map_from_dict(final_memory, "final_memory")
 
 
 def _check_ref(ref: list, payload, path: str) -> None:

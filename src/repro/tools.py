@@ -45,7 +45,7 @@ from .workloads import WORKLOAD_NAMES, build_workload
 
 _LOG = get_logger("tools")
 
-#: The append-only perf history ``bench`` and ``sweep-bench`` extend.
+#: The append-only perf history ``bench`` extends.
 HISTORY = "BENCH_history.jsonl"
 
 #: The miss-heavy machine ``bench`` times the kernels on: a small L1 with
@@ -54,12 +54,6 @@ BENCH_L1_KB = 4
 BENCH_L1_ASSOC = 2
 BENCH_MSHRS = 2
 BENCH_MEMORY_CYCLES = 400
-
-#: The straggler-skewed grid ``sweep-bench`` schedules: heavy cells
-#: clustered at the front, then light ones.
-SKEW_HEAVY_CELLS = 8
-SKEW_HEAVY_MS = 200.0
-SKEW_LIGHT_MS = 10.0
 
 
 # ------------------------------------------------------------ flag groups
@@ -474,26 +468,25 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .harness.parallel_runner import ParallelRunner
     from .harness.report import format_table, render_sweep_summary
-    from .harness.runner import RunKey
-    from .obs.telemetry import TelemetryConfig
+    from .harness.runner import ExperimentRunner, RunKey
 
     workloads = parse_workloads(args.workloads)
     core_counts = [int(item) for item in args.cores.split(",")]
     models = [ConsistencyModel(item.strip())
               for item in args.consistency.split(",")]
-    keys = [RunKey(workload, cores, args.scale, args.seed, model,
-                   args.with_baselines)
+    runner = ExperimentRunner(seed=args.seed, scale=args.scale,
+                              jobs=args.jobs, timeout_s=args.timeout)
+    runner.cache = open_cache(args)
+    keys = [runner.run_key(workload, cores=cores, consistency=model,
+                           with_baselines=args.with_baselines)
             for workload in workloads
             for cores in core_counts
             for model in models]
     # Progress lines go through the structured repro.harness.sweep logger
     # (configured by --log-level in main), not ad-hoc stderr prints.
-    runner = ParallelRunner(
-        jobs=args.jobs, cache=open_cache(args), timeout_s=args.timeout,
-        telemetry=TelemetryConfig(capture_trace=bool(args.trace_out)))
-    results = runner.run(keys)
+    runner.prefetch(keys, trace=bool(args.trace_out))
+    results = {key: runner.result(key) for key in keys}
 
     rows = []
     for key in keys:
@@ -506,10 +499,8 @@ def cmd_sweep(args) -> int:
         "Sweep results",
         ["workload", "cores", "model", "cycles", "instructions",
          "opt_4k b/KI"], rows, floatfmt="{:.1f}"))
-    print(render_sweep_summary(runner.registry.snapshot()))
-    for label, reason in runner.aggregator.quarantined:
-        print(f"warning: telemetry quarantined for {label}: {reason}",
-              file=sys.stderr)
+    snapshot = runner.sweep_metrics()
+    print(render_sweep_summary(snapshot))
     if args.results_out:
         from .sim.serialize import run_result_to_dict
         # Fully deterministic artifact: serialized results keyed by shard
@@ -520,10 +511,10 @@ def cmd_sweep(args) -> int:
         write_json(args.results_out, payload, "sweep results",
                    separators=(",", ":"))
     if args.metrics_out:
-        write_json(args.metrics_out, runner.registry.snapshot().to_dict(),
-                   "sweep metrics", indent=1)
+        write_json(args.metrics_out, snapshot.to_dict(), "sweep metrics",
+                   indent=1)
     if args.trace_out:
-        events = runner.aggregator.trace_events()
+        events = runner.trace_events
         with open(args.trace_out, "w") as handle:
             for event in events:
                 handle.write(json.dumps(event, sort_keys=True) + "\n")
@@ -565,122 +556,6 @@ def cmd_figures(args) -> int:
     print(text)
     if args.out:
         Path(args.out).write_text(text)
-    return 0
-
-
-def _bench_cell_worker(payload: dict) -> dict:
-    """``sweep-bench`` worker: one synthetic sweep cell (pure sleep).
-
-    The bench measures *scheduling*, not simulation — a sleep of the
-    cell's nominal cost makes the straggler skew exact and the run fast
-    enough for CI.
-    """
-    time.sleep(payload["sleep_s"])
-    return {"index": payload["index"], "attempt": payload["attempt"]}
-
-
-def _bench_partition_worker(payload: dict) -> dict:
-    """``sweep-bench`` worker: one static partition, run serially.
-
-    This is the pre-split baseline: each worker receives its contiguous
-    slice of the grid up front and must finish all of it, so a
-    straggler-heavy slice idles every other worker.
-    """
-    for sleep_s in payload["sleeps"]:
-        time.sleep(sleep_s)
-    return {"cells": len(payload["sleeps"])}
-
-
-def static_partitions(count: int, jobs: int) -> list[list[int]]:
-    """The static shard split ``sweep-bench`` measures the shard pool
-    against: ``count`` cells pre-partitioned into ``jobs`` contiguous
-    slices (empty slices dropped)."""
-    jobs = max(1, jobs)
-    size, extra = divmod(count, jobs)
-    out, start = [], 0
-    for rank in range(jobs):
-        width = size + (1 if rank < extra else 0)
-        out.append(list(range(start, start + width)))
-        start += width
-    return [part for part in out if part]
-
-
-def cmd_sweep_bench(args) -> int:
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures import wait as futures_wait
-
-    from .common.hashing import stable_digest
-    from .harness.parallel_runner import ShardPool
-
-    jobs = max(2, args.jobs)
-    cells = max(jobs, args.cells)
-    heavy = min(SKEW_HEAVY_CELLS, cells)
-    # Heavy cells clustered at the front — the worst case for a
-    # contiguous pre-partition and the common shape of a grid sorted by
-    # workload size.
-    sleeps = ([SKEW_HEAVY_MS / 1000.0] * heavy
-              + [SKEW_LIGHT_MS / 1000.0] * (cells - heavy))
-
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    # Warm every worker process up front so spawn cost hits neither arm.
-    futures_wait([pool.submit(_bench_cell_worker,
-                              {"index": -1, "attempt": 0, "sleep_s": 0.0})
-                  for _ in range(jobs)])
-
-    # ---- arm 1: static contiguous pre-partition (one task per worker).
-    parts = static_partitions(cells, jobs)
-    started = time.perf_counter()
-    futures_wait([pool.submit(_bench_partition_worker,
-                              {"sleeps": [sleeps[i] for i in part]})
-                  for part in parts])
-    static_s = time.perf_counter() - started
-
-    # ---- arm 2: the shard pool's queue dispatch over the same cells.
-    started = time.perf_counter()
-    ShardPool(jobs=jobs, worker=_bench_cell_worker).map(
-        list(range(cells)),
-        payload=lambda i, attempt: {"index": i, "attempt": attempt,
-                                    "sleep_s": sleeps[i]},
-        executor=pool)
-    deque_s = time.perf_counter() - started
-    pool.shutdown()
-    speedup = static_s / deque_s if deque_s > 0 else float("inf")
-
-    config = {"cells": cells, "heavy": heavy, "heavy_ms": SKEW_HEAVY_MS,
-              "light_ms": SKEW_LIGHT_MS, "jobs": jobs}
-    report = {"config": config,
-              "skew": {"static_s": round(static_s, 4),
-                       "deque_s": round(deque_s, 4),
-                       "speedup": round(speedup, 3)}}
-
-    print(f"sweep-bench: skewed {cells}-cell grid, {heavy} heavy cells, "
-          f"{jobs} workers")
-    print(f"  static split   {static_s:8.3f}s")
-    print(f"  queue dispatch {deque_s:8.3f}s   ({speedup:.2f}x)")
-
-    if args.out:
-        write_json(args.out, report, "report", indent=1)
-    if not args.no_history:
-        from .obs.perfdb import (PERFDB_SCHEMA, PerfRecord, append_records,
-                                 git_revision)
-        # The series keeps its historical kernel label so new records
-        # extend the existing (workload, config, kernel) history.
-        record = PerfRecord(
-            schema=PERFDB_SCHEMA, timestamp=time.time(),
-            git_rev=git_revision(), config_hash=stable_digest(config)[:16],
-            workload="sweep_fabric_skew", cycles=cells, instructions=cells,
-            wall_s=round(deque_s, 4),
-            sim_cycles_per_s=round(cells / deque_s, 2)
-            if deque_s > 0 else 0.0,
-            speedup=round(speedup, 3), kernel="stealing")
-        append_records(args.history, [record])
-        print(f"  history +1 record -> {args.history}")
-
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        print(f"FAIL: queue-dispatch speedup {speedup:.2f}x below the "
-              f"--min-speedup {args.min_speedup:.2f}x gate",
-              file=sys.stderr)
-        return 1
     return 0
 
 
@@ -1044,21 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_sweep_flags(figures, jobs=1)
     figures.add_argument("--out", help="also write the tables to this file")
     figures.set_defaults(func=cmd_figures)
-
-    sweep_bench = sub.add_parser(
-        "sweep-bench",
-        help="benchmark the shard pool's queue dispatch against a static "
-             "split on a straggler-skewed grid")
-    sweep_bench.add_argument("--cells", type=int, default=64,
-                             help="synthetic grid size (default 64)")
-    _add_jobs(sweep_bench, 8, "both arms")
-    sweep_bench.add_argument("--out", help="write the JSON report")
-    _add_history_flags(sweep_bench)
-    sweep_bench.add_argument("--min-speedup", type=float, default=None,
-                             help="exit non-zero if queue dispatch beats "
-                                  "the static split by less than this "
-                                  "factor")
-    sweep_bench.set_defaults(func=cmd_sweep_bench)
 
     bench = sub.add_parser(
         "bench", help="time every kernel against the lockstep reference "

@@ -6,9 +6,9 @@ Two families of differential checks:
   replayed — the replay must converge (verify bit-exactly) even for the
   relaxed "weird" outcomes, and the recording must survive the sweep wire
   format unchanged.
-* The parallel sharded runner must be observationally identical to the
-  serial path: same final memory images, same serialized results and the
-  same rendered report tables, byte for byte.
+* A pooled sweep must be observationally identical to the serial path:
+  same final memory images, same serialized results and the same
+  rendered report tables, byte for byte.
 """
 
 import json
@@ -17,10 +17,8 @@ import pytest
 
 from repro.common.config import ConsistencyModel, RecorderConfig, RecorderMode
 from repro.harness import ExperimentRunner, fig9_reordered_fractions
-from repro.harness.parallel_runner import ParallelRunner
 from repro.harness.report import render_all
 from repro.harness.runner import RunKey, execute_run
-from repro.obs.telemetry import TelemetryConfig
 from repro.replay import replay_recording
 from repro.sim import RunResult
 from repro.workloads.litmus import LITMUS_TESTS, run_litmus
@@ -32,6 +30,13 @@ MODELS = tuple(ConsistencyModel)
 STAGGERS = (0, 60, 480)
 
 RECORD_VARIANT = RecorderConfig(mode=RecorderMode.OPT)
+
+
+def sweep(keys, *, jobs, trace=False):
+    """A runner that prefetched ``keys``, and their results by key."""
+    runner = ExperimentRunner(jobs=jobs)
+    runner.prefetch(keys, trace=trace)
+    return runner, {key: runner.result(key) for key in keys}
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda model: model.value)
@@ -84,7 +89,7 @@ class TestSerialVsParallel:
 
     @pytest.fixture(scope="class")
     def parallel(self):
-        return ParallelRunner(jobs=2).run(self.KEYS)
+        return sweep(self.KEYS, jobs=2)[1]
 
     def test_final_memory_images_identical(self, serial, parallel):
         for key in self.KEYS:
@@ -103,16 +108,14 @@ class TestSerialVsParallel:
 
 
 class TestTelemetryIsInvisible:
-    """Turning worker telemetry on must not perturb results or rollups."""
+    """Turning sweep tracing on must not perturb results or rollups."""
 
     KEYS = [RunKey(workload, 2, 0.1, 1, ConsistencyModel.RC, False)
             for workload in ("fft", "radix")]
 
     @pytest.fixture(scope="class")
     def traced(self):
-        runner = ParallelRunner(jobs=2,
-                                telemetry=TelemetryConfig(capture_trace=True))
-        return runner, runner.run(self.KEYS)
+        return sweep(self.KEYS, jobs=2, trace=True)
 
     def test_traced_results_byte_identical_to_serial(self, traced):
         _, results = traced
@@ -124,23 +127,24 @@ class TestTelemetryIsInvisible:
 
     def test_merged_metrics_match_untraced_sweep(self, traced):
         runner, _ = traced
-        plain = ParallelRunner(jobs=1)
-        plain.run(self.KEYS)
-        traced_rollup = runner.aggregator.rollup()
-        plain_rollup = plain.aggregator.rollup()
-        # Trace accounting lives only in the telemetry side channel, so
-        # the metric rollups are identical with tracing on or off — and
-        # identical between the pool and the serial (jobs=1) path.
+        plain, _ = sweep(self.KEYS, jobs=1)
+        traced_rollup = runner.sweep_metrics().subset("sweep.rollup")
+        plain_rollup = plain.sweep_metrics().subset("sweep.rollup")
+        # Trace accounting never enters a result, so the metric rollups
+        # are identical with tracing on or off — and identical between
+        # the pool and the serial (jobs=1) path.
         assert traced_rollup == plain_rollup
-        assert not any(name.startswith("obs.trace.")
+        assert not any(name.startswith("sweep.rollup.obs.trace.")
                        for name in traced_rollup)
 
     def test_trace_events_were_shipped(self, traced):
         runner, _ = traced
-        assert len(runner.aggregator) == len(self.KEYS)
-        assert runner.aggregator.quarantined == []
-        events = runner.aggregator.trace_events()
-        assert events
+        snapshot = runner.sweep_metrics()
+        counts = [snapshot[f"sweep.shard.{key.label()}.trace_events"]
+                  for key in self.KEYS]
+        assert all(counts)
+        events = runner.trace_events
+        assert len(events) == sum(counts)
         assert all("name" in event and "cycle" in event for event in events)
 
 

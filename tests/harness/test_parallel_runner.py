@@ -1,4 +1,4 @@
-"""Tests for the parallel sharded runner and the persistent result cache.
+"""Tests for the sweep runner and the persistent result cache.
 
 Covers the cache lifecycle (hit / miss / invalidation / corruption /
 resume-after-kill), the worker-pool failure handling (retry-once,
@@ -10,6 +10,7 @@ including the default ``.repro_cache/results.sqlite`` cache.
 
 import hashlib
 import json
+import logging
 import os
 import re
 import subprocess
@@ -22,17 +23,16 @@ from repro.common.config import (ConsistencyModel, MachineConfig,
                                  RecorderConfig, RecorderMode)
 from repro.common.errors import LogFormatError
 from repro.harness import ExperimentRunner
+from repro.harness import runner as runner_module
 from repro.harness.cachestore import CacheBackendError
 from repro.harness.parallel_runner import (
     CODE_SALT,
-    ParallelRunner,
     ResultCache,
     SweepError,
-    _execute_shard,
     cache_key,
 )
 from repro.harness.runner import RunKey, build_workload, execute_run
-from repro.sim.machine import Machine
+from repro.sim.machine import Machine, RunResult
 
 RC = ConsistencyModel.RC
 SC = ConsistencyModel.SC
@@ -79,41 +79,64 @@ def edit_entry(cache, key, edit=None, *, redigest=False) -> dict:
     return header
 
 
-# Worker fakes must live at module level so the process pool can pickle
-# them; they key off the payload alone (workers share no state with the
-# parent), which is exactly what ``attempt`` is in the payload for.
-
-def _flaky_worker(payload):
-    if payload["attempt"] == 0:
-        raise RuntimeError("injected fault")
-    return _execute_shard(payload)
+def sweep_runner(jobs=1, cache=None, **kwargs) -> ExperimentRunner:
+    """A runner over TINY_VARIANTS whose sweeps use ``cache``."""
+    runner = ExperimentRunner(seed=1, scale=0.05, jobs=jobs,
+                              variants=TINY_VARIANTS, **kwargs)
+    runner.cache = cache
+    return runner
 
 
-def _broken_worker(payload):
+def sweep(runner, keys, **kwargs) -> dict:
+    """Prefetch ``keys`` and return their results by key."""
+    runner.prefetch(keys, **kwargs)
+    return {key: runner.result(key) for key in keys}
+
+
+# Fault-injecting stand-ins for execute_run.  Pool workers are forked
+# from the test process, so they see the patched module attribute too;
+# cross-process state (has a shard failed yet?) lives in marker files.
+
+def fails_once(marker):
+    def run(key, variants=None, *, tracer=None):
+        if not marker.exists():
+            marker.touch()
+            raise RuntimeError("injected fault")
+        return execute_run(key, variants, tracer=tracer)
+    return run
+
+
+def always_fails(key, variants=None, *, tracer=None):
     raise RuntimeError("permanent fault")
 
 
-def _slow_first_attempt_worker(payload):
-    if payload["attempt"] == 0 and payload["key"]["workload"] == "fft":
-        time.sleep(1.0)
-    return _execute_shard(payload)
+def slow_first_fft(marker):
+    def run(key, variants=None, *, tracer=None):
+        if key.workload == "fft" and not marker.exists():
+            marker.touch()
+            time.sleep(1.0)
+        return execute_run(key, variants, tracer=tracer)
+    return run
 
 
-def _always_slow_worker(payload):
+def always_slow(key, variants=None, *, tracer=None):
     time.sleep(1.0)
-    return _execute_shard(payload)
+    return execute_run(key, variants, tracer=tracer)
 
 
-def _corrupt_telemetry_worker(payload):
-    reply = _execute_shard(payload)
-    reply["telemetry"] = {"format": 999, "trace": "not-a-list"}
-    return reply
-
-
-def _garbage_telemetry_worker(payload):
-    reply = _execute_shard(payload)
-    reply["telemetry"] = "torn payload"
-    return reply
+@pytest.fixture
+def sweep_lines():
+    """Lines logged to the ``repro.harness.sweep`` logger during a test."""
+    lines = []
+    handler = logging.Handler()
+    handler.emit = lambda record: lines.append(record.getMessage())
+    logger = logging.getLogger("repro.harness.sweep")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    yield lines
+    logger.removeHandler(handler)
+    logger.setLevel(level)
 
 
 # ---------------------------------------------------------------- cache key
@@ -210,9 +233,7 @@ class TestResultCache:
         # The corrupt entry is out of the store, never served again.
         assert read_entry(cache, key) is None
         # The sweep recomputes and repopulates transparently.
-        runner = ParallelRunner(jobs=1, cache=cache, variants=TINY_VARIANTS)
-        runner.run([key])
-        assert runner.executed == 1
+        assert sweep_runner(cache=cache).prefetch([key]) == 1
         assert read_entry(cache, key) is not None
 
     def test_envelope_key_mismatch_is_treated_as_corruption(self, tmp_path):
@@ -257,9 +278,7 @@ class TestResultCache:
 
 def _recompute(cache, key) -> int:
     """Shards a sweep over ``key`` executes against ``cache``."""
-    runner = ParallelRunner(jobs=1, cache=cache, variants=TINY_VARIANTS)
-    runner.run([key])
-    return runner.executed
+    return sweep_runner(cache=cache).prefetch([key])
 
 
 class TestCachePayload:
@@ -400,91 +419,88 @@ class TestParallelRunner:
 
     def test_pool_matches_serial_execution(self):
         serial = {key: execute_run(key, TINY_VARIANTS) for key in self.KEYS}
-        runner = ParallelRunner(jobs=2, variants=TINY_VARIANTS)
-        results = runner.run(self.KEYS)
-        assert runner.executed == len(self.KEYS)
+        runner = sweep_runner(jobs=2)
+        results = sweep(runner, self.KEYS)
+        snapshot = runner.sweep_metrics()
+        assert snapshot["sweep.executed"] == len(self.KEYS)
         for key in self.KEYS:
             assert results[key].to_dict() == serial[key].to_dict()
-        snapshot = runner.registry.snapshot()
         assert snapshot["sweep.shards_total"] == len(self.KEYS)
         assert snapshot["sweep.shards_run"] == len(self.KEYS)
-        assert snapshot["sweep.worker.instructions"] > 0
+        assert snapshot["sweep.worker.instructions"] == sum(
+            serial[key].total_instructions for key in self.KEYS)
 
     def test_resume_after_simulated_mid_sweep_kill(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         # First sweep "dies" after two shards: simulate by only asking for
         # a prefix of the grid (every completed shard is already on disk).
-        ParallelRunner(jobs=2, cache=cache,
-                       variants=TINY_VARIANTS).run(self.KEYS[:2])
+        sweep_runner(jobs=2, cache=cache).prefetch(self.KEYS[:2])
         assert len(cache) == 2
         # The rerun over the full grid executes only the missing shards.
-        rerun = ParallelRunner(jobs=2, cache=ResultCache(tmp_path / "cache"),
-                               variants=TINY_VARIANTS)
-        results = rerun.run(self.KEYS)
-        assert rerun.executed == 2
-        assert {o.source for o in rerun.outcomes} == {"cache", "run"}
+        rerun = sweep_runner(jobs=2, cache=ResultCache(tmp_path / "cache"))
+        results = sweep(rerun, self.KEYS)
+        snapshot = rerun.sweep_metrics()
+        assert snapshot["sweep.executed"] == 2
+        assert snapshot["sweep.shards_run"] == 2
         assert set(results) == set(self.KEYS)
-        assert rerun.registry.snapshot()["sweep.cache_hits"] == 2
+        assert snapshot["sweep.cache_hits"] == 2
 
-    def test_failed_shard_is_retried_once(self):
-        runner = ParallelRunner(jobs=2, variants=TINY_VARIANTS,
-                                worker=_flaky_worker)
-        results = runner.run([tiny_key()])
+    def test_failed_shard_is_retried_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner_module, "execute_run",
+                            fails_once(tmp_path / "failed"))
+        runner = sweep_runner(jobs=2)
+        results = sweep(runner, [tiny_key()])
         assert results[tiny_key()].cycles > 0
-        assert runner.outcomes[0].attempts == 2
-        assert runner.registry.snapshot()["sweep.retried"] == 1
+        snapshot = runner.sweep_metrics()
+        assert snapshot["sweep.retried"] == 1
+        assert snapshot["sweep.shard_seconds.count"] == 2   # two attempts
 
-    def test_serial_path_retries_too(self):
-        runner = ParallelRunner(jobs=1, variants=TINY_VARIANTS,
-                                worker=_flaky_worker)
-        results = runner.run([tiny_key()])
+    def test_serial_path_retries_too(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner_module, "execute_run",
+                            fails_once(tmp_path / "failed"))
+        runner = sweep_runner(jobs=1)
+        results = sweep(runner, [tiny_key()])
         assert results[tiny_key()].cycles > 0
-        assert runner.registry.snapshot()["sweep.retried"] == 1
+        assert runner.sweep_metrics()["sweep.retried"] == 1
 
-    def test_exhausted_retries_raise_sweep_error(self):
+    def test_exhausted_retries_raise_sweep_error(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "execute_run", always_fails)
         for jobs in (1, 2):
-            runner = ParallelRunner(jobs=jobs, variants=TINY_VARIANTS,
-                                    worker=_broken_worker)
+            runner = sweep_runner(jobs=jobs)
             with pytest.raises(SweepError, match="permanent fault"):
-                runner.run([tiny_key()])
+                runner.prefetch([tiny_key()])
 
-    def test_timed_out_shard_is_retried_on_a_fresh_worker(self):
+    def test_timed_out_shard_is_retried_on_a_fresh_worker(self, tmp_path,
+                                                           monkeypatch):
+        monkeypatch.setattr(runner_module, "execute_run",
+                            slow_first_fft(tmp_path / "slow"))
         keys = [tiny_key("fft"), tiny_key("radix")]
-        runner = ParallelRunner(jobs=2, variants=TINY_VARIANTS,
-                                timeout_s=0.4,
-                                worker=_slow_first_attempt_worker)
-        results = runner.run(keys)
+        runner = sweep_runner(jobs=2, timeout_s=0.4)
+        results = sweep(runner, keys)
         assert set(results) == set(keys)
-        snapshot = runner.registry.snapshot()
+        snapshot = runner.sweep_metrics()
         assert snapshot["sweep.timeouts"] == 1
         assert snapshot["sweep.retried"] == 1
 
-    def test_timeout_without_retries_fails_the_sweep(self):
-        runner = ParallelRunner(jobs=2, variants=TINY_VARIANTS,
-                                timeout_s=0.2, retries=0,
-                                worker=_always_slow_worker)
+    def test_timeout_without_retries_fails_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "execute_run", always_slow)
+        runner = sweep_runner(jobs=2, timeout_s=0.2, retries=0)
         with pytest.raises(SweepError, match="timed out"):
-            runner.run([tiny_key()])
-        assert runner.registry.snapshot()["sweep.timeouts"] == 1
+            runner.prefetch([tiny_key()])
+        assert runner.sweep_metrics()["sweep.timeouts"] == 1
 
     def test_duplicate_keys_run_once(self):
-        runner = ParallelRunner(jobs=1, variants=TINY_VARIANTS)
-        results = runner.run([tiny_key(), tiny_key()])
-        assert runner.executed == 1
-        assert len(results) == 1
+        runner = sweep_runner(jobs=1)
+        assert runner.prefetch([tiny_key(), tiny_key()]) == 1
+        assert runner.sweep_metrics()["sweep.shards_total"] == 1
 
-    def test_progress_lines_are_emitted(self, tmp_path):
-        lines = []
-        runner = ParallelRunner(jobs=1, variants=TINY_VARIANTS,
-                                cache=ResultCache(tmp_path / "cache"),
-                                progress=lines.append)
-        runner.run([tiny_key()])
-        runner2 = ParallelRunner(jobs=1, variants=TINY_VARIANTS,
-                                 cache=ResultCache(tmp_path / "cache"),
-                                 progress=lines.append)
-        runner2.run([tiny_key()])
-        assert any("recorded" in line for line in lines)
-        assert any("cache hit" in line for line in lines)
+    def test_progress_lines_are_emitted(self, tmp_path, sweep_lines):
+        sweep_runner(cache=ResultCache(tmp_path / "cache")).prefetch(
+            [tiny_key()])
+        sweep_runner(cache=ResultCache(tmp_path / "cache")).prefetch(
+            [tiny_key()])
+        assert any("recorded" in line for line in sweep_lines)
+        assert any("cache hit" in line for line in sweep_lines)
 
 
 # ------------------------------------------------------------ sweep telemetry
@@ -493,13 +509,11 @@ class TestSweepTelemetry:
     KEYS = [tiny_key("fft"), tiny_key("radix")]
 
     def test_worker_metrics_fold_into_sweep_registry(self):
-        """Satellite fix: ``--metrics-out`` from a parallel sweep carries
-        every worker's metrics, merged deterministically."""
-        runner = ParallelRunner(jobs=2, variants=TINY_VARIANTS)
-        results = runner.run(self.KEYS)
-        snapshot = runner.registry.snapshot()
-        assert snapshot["sweep.telemetry.shards"] == len(self.KEYS)
-        assert snapshot["sweep.telemetry.quarantined"] == 0
+        """``--metrics-out`` from a parallel sweep carries every shard's
+        metrics, merged deterministically."""
+        runner = sweep_runner(jobs=2)
+        results = sweep(runner, self.KEYS)
+        snapshot = runner.sweep_metrics()
         # The rollup sums per-shard machine metrics exactly.
         expected_cycles = sum(results[key].cycles for key in self.KEYS)
         assert snapshot["sweep.rollup.machine.cycles"] == expected_cycles
@@ -507,89 +521,58 @@ class TestSweepTelemetry:
             label = key.label()
             assert (snapshot[f"sweep.shard.{label}.cycles"]
                     == results[key].cycles)
+            assert snapshot[f"sweep.shard.{label}.trace_events"] == 0
 
     def test_parallel_rollup_matches_serial_rollup(self):
-        pool = ParallelRunner(jobs=2, variants=TINY_VARIANTS)
-        pool.run(self.KEYS)
-        serial = ParallelRunner(jobs=1, variants=TINY_VARIANTS)
-        serial.run(list(reversed(self.KEYS)))  # completion order differs
-        assert pool.aggregator.rollup() == serial.aggregator.rollup()
+        pool = sweep_runner(jobs=2)
+        pool.prefetch(self.KEYS)
+        serial = sweep_runner(jobs=1)
+        serial.prefetch(list(reversed(self.KEYS)))  # completion order differs
+        rollup = pool.sweep_metrics().subset("sweep.rollup")
+        assert rollup
+        assert rollup == serial.sweep_metrics().subset("sweep.rollup")
 
     def test_cached_shards_contribute_metrics(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        warm = ParallelRunner(jobs=1, cache=cache, variants=TINY_VARIANTS)
-        warm.run(self.KEYS)
-        rerun = ParallelRunner(jobs=1, cache=ResultCache(tmp_path / "cache"),
-                               variants=TINY_VARIANTS)
-        rerun.run(self.KEYS)
-        assert rerun.executed == 0
+        warm = sweep_runner(cache=cache)
+        warm.prefetch(self.KEYS)
+        rerun = sweep_runner(cache=ResultCache(tmp_path / "cache"))
+        assert rerun.prefetch(self.KEYS) == 0
         # All metrics came from cached results, none from workers.
-        assert rerun.aggregator.rollup() == warm.aggregator.rollup()
-        assert {shard.source
-                for shard in (rerun.aggregator.shard(label)
-                              for label in rerun.aggregator.labels())} \
-            == {"cache"}
-
-    def test_corrupt_worker_telemetry_is_quarantined_not_fatal(self):
-        key = tiny_key()
-        runner = ParallelRunner(jobs=1, variants=TINY_VARIANTS,
-                                worker=_corrupt_telemetry_worker)
-        results = runner.run([key])
-        # The sweep still completes with a valid result...
-        assert results[key].cycles > 0
-        # ...and the bad payload is quarantined with a reason.
-        assert runner.aggregator.quarantined
-        label, reason = runner.aggregator.quarantined[0]
-        assert label == key.label()
-        assert "format" in reason
-        snapshot = runner.registry.snapshot()
-        assert snapshot["sweep.telemetry.quarantined"] == 1
-        # The shard's metrics (from the result itself) still merged.
-        assert snapshot["sweep.rollup.machine.cycles"] == results[key].cycles
-
-    def test_non_dict_telemetry_payload_is_quarantined(self):
-        key = tiny_key()
-        runner = ParallelRunner(jobs=1, variants=TINY_VARIANTS,
-                                worker=_garbage_telemetry_worker)
-        results = runner.run([key])
-        assert results[key].cycles > 0
-        assert runner.aggregator.quarantined
-        assert "not dict" in runner.aggregator.quarantined[0][1]
+        snapshot = rerun.sweep_metrics()
+        assert snapshot.subset("sweep.rollup") == \
+            warm.sweep_metrics().subset("sweep.rollup")
+        assert snapshot["sweep.cache_hits"] == len(self.KEYS)
+        assert "sweep.shards_run" not in snapshot
+        assert not snapshot.subset("sweep.worker")
 
     def test_traced_worker_result_matches_untraced_cache_entry(self,
                                                                tmp_path):
         """Trace capture must not poison the cache: a traced shard's
         cached entry is byte-identical to an untraced shard's."""
-        from repro.obs.telemetry import TelemetryConfig
         key = tiny_key()
         plain_cache = ResultCache(tmp_path / "plain")
-        ParallelRunner(jobs=1, cache=plain_cache,
-                       variants=TINY_VARIANTS).run([key])
+        sweep_runner(cache=plain_cache).prefetch([key])
         traced_cache = ResultCache(tmp_path / "traced")
-        traced = ParallelRunner(jobs=1, cache=traced_cache,
-                                variants=TINY_VARIANTS,
-                                telemetry=TelemetryConfig(capture_trace=True))
-        traced.run([key])
+        traced = sweep_runner(cache=traced_cache)
+        traced.prefetch([key], trace=True)
         plain_entry = edit_entry(plain_cache, key)
         traced_entry = edit_entry(traced_cache, key)
         assert plain_entry["result"] == traced_entry["result"]
         assert plain_entry["payload_sha256"] == traced_entry["payload_sha256"]
-        # The trace itself arrived through the side channel.
-        label = key.label()
-        assert traced.aggregator.shard(label).trace
-        assert traced.aggregator.shard(label).trace_stats[
-            "obs.trace.emitted"] > 0
+        # The trace itself arrived beside the result.
+        assert traced.trace_events
+        assert (traced.sweep_metrics()[f"sweep.shard.{key.label()}"
+                                       ".trace_events"]
+                == len(traced.trace_events))
 
-    def test_heartbeat_lines_for_long_pool_waits(self):
-        lines = []
-        from repro.obs.telemetry import TelemetryConfig
-        runner = ParallelRunner(jobs=2, variants=TINY_VARIANTS,
-                                progress=lines.append,
-                                telemetry=TelemetryConfig(heartbeat_s=0.2),
-                                worker=_always_slow_worker)
-        runner.run([tiny_key()])
-        assert any("heartbeat" in line for line in lines)
-        assert any("in flight" in line for line in lines)
+    def test_heartbeat_lines_for_long_pool_waits(self, monkeypatch,
+                                                 sweep_lines):
+        monkeypatch.setattr(runner_module, "HEARTBEAT_S", 0.2)
+        monkeypatch.setattr(runner_module, "execute_run", always_slow)
+        sweep_runner(jobs=2).prefetch([tiny_key()])
+        assert any("heartbeat" in line for line in sweep_lines)
+        assert any("in flight" in line for line in sweep_lines)
 
 
 # -------------------------------------------------------- experiment runner
@@ -622,6 +605,28 @@ class TestExperimentRunnerIntegration:
         runner = ExperimentRunner(seed=1, scale=0.05,
                                   variants=TINY_VARIANTS)
         assert runner.cache is None
+        assert runner.record("fft", cores=2).cycles > 0
+
+    def test_serial_sweep_keeps_results_in_process(self, monkeypatch):
+        """At ``jobs=1`` a cold sweep hands back the live results: none
+        goes through the wire form."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a result went through the wire form")
+        monkeypatch.setattr(RunResult, "from_dict", staticmethod(refuse))
+        runner = sweep_runner(jobs=1)
+        assert runner.prefetch([tiny_key("fft"), tiny_key("radix")]) == 2
+        assert runner.result(tiny_key("fft")).cycles > 0
+
+    def test_record_never_starts_a_pool(self, monkeypatch):
+        """``record`` stays in-process whatever the sweep width."""
+        from repro.harness import parallel_runner
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("record started a process pool")
+        monkeypatch.setattr(parallel_runner, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(RunResult, "from_dict", staticmethod(refuse))
+        runner = ExperimentRunner(seed=1, scale=0.05, jobs=2,
+                                  variants=TINY_VARIANTS)
         assert runner.record("fft", cores=2).cycles > 0
 
 

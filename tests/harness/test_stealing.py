@@ -1,10 +1,11 @@
 """Tests for the shard pool's queue dispatch (work stealing from one
-shared queue) and the static split ``sweep-bench`` measures it against.
+shared queue).
 
 Exercises :class:`ShardPool`'s multi-worker path over a thread executor
-and over a real process pool: the submission-order reply contract under
-adversarial completion orders, and the retry/timeout paths with their
-interplay with ``on_complete`` ordering.
+and over a real process pool: a straggler never strands the items behind
+it, the submission-order reply contract under adversarial completion
+orders, and the retry/timeout paths with their interplay with
+``on_complete`` ordering.
 """
 
 import time
@@ -13,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.harness.parallel_runner import ShardPool, SweepError
-from repro.tools import static_partitions
 
 
 # Module-level workers so the real ProcessPoolExecutor can pickle them.
@@ -39,19 +39,21 @@ def threads():
         yield pool
 
 
-# ------------------------------------------------------------- partitions
+# --------------------------------------------------------------- stragglers
 
-class TestStaticPartitions:
-    def test_contiguous_cover(self):
-        parts = static_partitions(10, 3)
-        assert parts == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
-
-    def test_fewer_items_than_jobs(self):
-        assert static_partitions(2, 8) == [[0], [1]]
-
-    def test_degenerate_widths(self):
-        assert static_partitions(5, 1) == [[0, 1, 2, 3, 4]]
-        assert static_partitions(0, 4) == []
+class TestQueueDispatch:
+    def test_straggler_does_not_strand_later_items(self, threads):
+        """A slow item 0 holds one worker while the other takes items 1-5
+        off the queue; a contiguous split ([0, 1, 2], [3, 4, 5]) would
+        leave 1 and 2 waiting behind 0."""
+        pool = ShardPool(jobs=2, worker=_sleepy_worker)
+        completions = []
+        replies = pool.map(
+            list(range(6)), payload=_payload_for(slow=(0,), slow_s=0.5),
+            on_complete=lambda i, item, reply: completions.append(item),
+            executor=threads)
+        assert completions == [1, 2, 3, 4, 5, 0]
+        assert [reply["item"] for reply in replies] == list(range(6))
 
 
 # ------------------------------------------------------------ determinism

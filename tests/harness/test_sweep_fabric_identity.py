@@ -11,8 +11,8 @@ import json
 
 from repro.common.config import ConsistencyModel, RecorderConfig, RecorderMode
 from repro.harness.cachestore import SQLiteStore
-from repro.harness.parallel_runner import ParallelRunner, ResultCache
-from repro.harness.runner import RunKey
+from repro.harness.parallel_runner import ResultCache
+from repro.harness.runner import ExperimentRunner, RunKey
 from repro.sim.serialize import run_result_to_dict
 
 RC = ConsistencyModel.RC
@@ -27,6 +27,15 @@ def _sweep_argv(tmp_path, tag, *, jobs, cache):
             "--consistency", "RC", "--scale", "0.05", "--jobs", jobs,
             "--cache-dir", str(tmp_path / cache),
             "--results-out", str(tmp_path / f"{tag}.json")]
+
+
+def _sweep(cache, keys, **kwargs):
+    """Prefetch ``keys`` at two jobs over ``cache``: the runner and the
+    results by key."""
+    runner = ExperimentRunner(jobs=2, **kwargs)
+    runner.cache = cache
+    runner.prefetch(keys)
+    return runner, {key: runner.result(key) for key in keys}
 
 
 def _bad_cache_dir(tmp_path):
@@ -55,21 +64,18 @@ class TestByteIdentity:
         for tag, _, _ in matrix[1:]:
             produced = (tmp_path / f"{tag}.json").read_bytes()
             assert produced == reference, f"{tag} diverged from serial run"
-        memory = ParallelRunner(jobs=2, cache=ResultCache.from_spec("memory"))
-        results = memory.run(GRID)
+        _, results = _sweep(ResultCache.from_spec("memory"), GRID)
         assert json.loads(reference) == {
             key.label(): run_result_to_dict(results[key]) for key in GRID}
 
     def test_warm_rerun_executes_nothing(self, tmp_path):
         store = SQLiteStore(tmp_path / "c.sqlite")
-        cold = ParallelRunner(jobs=2, cache=ResultCache(store=store),
-                              variants=TINY_VARIANTS)
-        cold_results = cold.run(GRID)
-        assert cold.executed == len(GRID)
-        warm = ParallelRunner(jobs=2, cache=ResultCache(store=store),
-                              variants=TINY_VARIANTS)
-        warm_results = warm.run(GRID)
-        assert warm.executed == 0
+        cold, cold_results = _sweep(ResultCache(store=store), GRID,
+                                    variants=TINY_VARIANTS)
+        assert cold.sweep_metrics()["sweep.executed"] == len(GRID)
+        warm, warm_results = _sweep(ResultCache(store=store), GRID,
+                                    variants=TINY_VARIANTS)
+        assert warm.sweep_metrics()["sweep.executed"] == 0
         for key in GRID:
             assert warm_results[key].to_dict() == cold_results[key].to_dict()
         store.close()

@@ -1,17 +1,25 @@
-"""Unit tests for the cross-process sweep telemetry pipeline.
+"""Unit tests for a sweep's merged metrics and its progress lines.
 
-Covers the aggregator's rollup rules and determinism, every quarantine
-path (corrupt payloads must be kept aside, never raised), the registry
-merge, and the progress/heartbeat/ETA tracker with an injected clock.
+Covers the rollup rules and determinism of
+:func:`~repro.obs.metrics.rollup_snapshots`, the ``sweep.rollup.*`` and
+``sweep.shard.<label>.*`` keys
+:func:`~repro.harness.runner.fold_shard_metrics` registers, that a
+malformed cached snapshot never reaches a rollup, and the
+progress/heartbeat/ETA tracker with an injected clock.
 """
 
-from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
-from repro.obs.telemetry import (
-    TELEMETRY_FORMAT,
-    SweepProgress,
-    TelemetryAggregator,
-    TelemetryConfig,
-)
+import json
+
+import pytest
+
+from repro.common.config import ConsistencyModel, RecorderConfig, RecorderMode
+from repro.harness.parallel_runner import ResultCache, cache_key
+from repro.harness.runner import (ExperimentRunner, RunKey, SweepProgress,
+                                  execute_run, fold_shard_metrics)
+from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, rollup_snapshots
+
+TINY_VARIANTS = {"opt_4k": RecorderConfig(mode=RecorderMode.OPT,
+                                          max_interval_instructions=4096)}
 
 
 def _trace_event(cycle=1, name="TraqEnqueue"):
@@ -19,91 +27,75 @@ def _trace_event(cycle=1, name="TraqEnqueue"):
             "severity": "DEBUG", "name": name, "track": "traq0"}
 
 
-class TestTelemetryConfig:
-    def test_round_trip(self):
-        config = TelemetryConfig(capture_trace=True, trace_capacity=128)
-        data = config.to_dict()
-        assert data["format"] == TELEMETRY_FORMAT
-        assert TelemetryConfig.from_dict(data) == config
+def _sweep_over_cached_metric(tmp_path, value):
+    """Sweep one shard whose cached result has ``machine.cycles`` set to
+    ``value``: the sweep's metrics snapshot and the shard's result."""
+    key = RunKey("fft", 2, 0.05, 1, ConsistencyModel.RC, False)
+    cache = ResultCache(tmp_path / "cache")
+    cache.put(key, execute_run(key, TINY_VARIANTS), TINY_VARIANTS)
+    address = cache_key(key, TINY_VARIANTS)
+    header, payload = cache.store.get(address).split(b"\n", 1)
+    header = json.loads(header)
+    header["result"]["metrics"]["machine.cycles"] = value
+    cache.store.delete(address)
+    cache.store.put(address, json.dumps(header).encode() + b"\n" + payload)
+    runner = ExperimentRunner(seed=1, scale=0.05, variants=TINY_VARIANTS)
+    runner.cache = cache
+    with pytest.warns(UserWarning, match=r"schema.*metrics\[\"machine"):
+        assert runner.prefetch([key]) == 1
+    return runner.sweep_metrics(), runner.result(key)
 
-    def test_defaults_do_not_capture_traces(self):
-        assert TelemetryConfig().capture_trace is False
+
+def _folded(metrics, traces=None):
+    registry = MetricsRegistry()
+    fold_shard_metrics(registry, metrics, traces or {})
+    return registry.snapshot()
 
 
 class TestAggregatorIngestion:
+    """What a sweep takes from each shard: its snapshot and its trace."""
+
     def test_accepts_snapshot_and_plain_dict(self):
-        agg = TelemetryAggregator()
-        assert agg.ingest("a", metrics=MetricsSnapshot({"machine.cycles": 5}))
-        assert agg.ingest("b", metrics={"machine.cycles": 7})
-        assert agg.labels() == ["a", "b"]
-        assert agg.shard("a").metrics == {"machine.cycles": 5}
+        rollup = rollup_snapshots({"a": MetricsSnapshot({"machine.cycles": 5}),
+                                   "b": {"machine.cycles": 7}})
+        assert rollup == {"machine.cycles": 12}
 
     def test_payload_trace_and_stats_are_kept(self):
-        agg = TelemetryAggregator()
-        payload = {"format": TELEMETRY_FORMAT,
-                   "trace": [_trace_event(1), _trace_event(2)],
-                   "trace_stats": {"obs.trace.emitted": 2}}
-        assert agg.ingest("a", metrics={"x": 1}, payload=payload)
-        assert len(agg.shard("a").trace) == 2
-        assert agg.shard("a").trace_stats == {"obs.trace.emitted": 2}
-        assert agg.trace_events() == payload["trace"]
-
-    def test_non_dict_payload_quarantined(self):
-        agg = TelemetryAggregator()
-        assert not agg.ingest("a", metrics={"x": 1}, payload="torn bytes")
-        assert agg.quarantined == [("a", "telemetry payload is str, "
-                                         "not dict")]
-        # The valid metrics half of the shard survives.
-        assert agg.shard("a").metrics == {"x": 1}
-
-    def test_wrong_format_stamp_quarantined(self):
-        agg = TelemetryAggregator()
-        assert not agg.ingest("a", payload={"format": 99, "trace": []})
-        assert "format" in agg.quarantined[0][1]
-        assert agg.shard("a").trace == []
-
-    def test_malformed_trace_quarantined_stats_kept(self):
-        agg = TelemetryAggregator()
-        payload = {"format": TELEMETRY_FORMAT,
-                   "trace": [{"no_name_or_cycle": True}],
-                   "trace_stats": {"obs.trace.emitted": 1}}
-        assert not agg.ingest("a", payload=payload)
-        assert ("a", "malformed trace buffer") in agg.quarantined
-        assert agg.shard("a").trace == []
-        assert agg.shard("a").trace_stats == {"obs.trace.emitted": 1}
-
-    def test_malformed_metrics_quarantined(self):
-        agg = TelemetryAggregator()
-        assert not agg.ingest("a", metrics={"ok": 1, "bad": [1, 2]})
-        assert ("a", "malformed metrics snapshot") in agg.quarantined
-        assert agg.shard("a").metrics == {}
-
-    def test_bool_metric_values_are_rejected(self):
-        agg = TelemetryAggregator()
-        assert not agg.ingest("a", metrics={"flag": True})
+        snapshot = _folded({"a": {"x": 1}, "b": {"x": 2}},
+                           {"a": [_trace_event(1), _trace_event(2)]})
+        assert snapshot["sweep.shard.a.trace_events"] == 2
+        assert snapshot["sweep.shard.b.trace_events"] == 0
+        # Trace accounting never enters the merged metrics.
+        assert snapshot["sweep.rollup.x"] == 3
 
     def test_empty_trace_is_fine(self):
-        agg = TelemetryAggregator()
-        assert agg.ingest("a", metrics={"x": 1},
-                          payload={"format": TELEMETRY_FORMAT, "trace": []})
-        assert agg.trace_events() == []
-        assert agg.quarantined == []
+        snapshot = _folded({"a": {"x": 1}}, {"a": []})
+        assert snapshot["sweep.shard.a.trace_events"] == 0
+
+    def test_malformed_metrics_quarantined(self, tmp_path):
+        """A cached snapshot with a non-number in it is a corrupt cache
+        entry: quarantined and recorded again, never merged."""
+        snapshot, result = _sweep_over_cached_metric(tmp_path, [1, 2])
+        assert snapshot["sweep.cache.corrupt.schema"] == 1
+        assert snapshot["sweep.rollup.machine.cycles"] == result.cycles
+
+    def test_bool_metric_values_are_rejected(self, tmp_path):
+        snapshot, result = _sweep_over_cached_metric(tmp_path, True)
+        assert snapshot["sweep.cache.corrupt.schema"] == 1
+        assert snapshot["sweep.rollup.machine.cycles"] == result.cycles
 
 
 class TestRollup:
     def test_suffix_rules(self):
-        agg = TelemetryAggregator()
-        agg.ingest("a", metrics={
-            "hits": 10, "occupancy.count": 4, "occupancy.mean": 2.0,
-            "occupancy.min": 1.0, "occupancy.max": 5.0,
-            "occupancy.stddev": 0.5, "occupancy.p95": 4.0,
-            "rate": 2.0})
-        agg.ingest("b", metrics={
-            "hits": 5, "occupancy.count": 12, "occupancy.mean": 4.0,
-            "occupancy.min": 0.5, "occupancy.max": 9.0,
-            "occupancy.stddev": 1.5, "occupancy.p95": 8.0,
-            "rate": 4.0})
-        rollup = agg.rollup()
+        rollup = rollup_snapshots({
+            "a": {"hits": 10, "occupancy.count": 4, "occupancy.mean": 2.0,
+                  "occupancy.min": 1.0, "occupancy.max": 5.0,
+                  "occupancy.stddev": 0.5, "occupancy.p95": 4.0,
+                  "rate": 2.0},
+            "b": {"hits": 5, "occupancy.count": 12, "occupancy.mean": 4.0,
+                  "occupancy.min": 0.5, "occupancy.max": 9.0,
+                  "occupancy.stddev": 1.5, "occupancy.p95": 8.0,
+                  "rate": 4.0}})
         assert rollup["hits"] == 15                       # int: sum
         assert rollup["occupancy.count"] == 16            # .count: sum
         assert rollup["occupancy.min"] == 0.5             # .min
@@ -116,47 +108,39 @@ class TestRollup:
         assert "occupancy.p95" not in rollup
 
     def test_rollup_is_ingestion_order_independent(self):
-        forward, backward = TelemetryAggregator(), TelemetryAggregator()
-        shards = {"a": {"x": 1, "r": 1.0}, "b": {"x": 2, "r": 3.0},
-                  "c": {"x": 4, "r": 5.0}}
-        for label in sorted(shards):
-            forward.ingest(label, metrics=shards[label])
-        for label in sorted(shards, reverse=True):
-            backward.ingest(label, metrics=shards[label])
-        assert forward.rollup() == backward.rollup()
+        shards = {"a": {"x": 1, "r": 0.1}, "b": {"x": 2, "r": 0.2},
+                  "c": {"x": 4, "r": 0.7}}
+        forward = {label: shards[label] for label in sorted(shards)}
+        backward = {label: shards[label]
+                    for label in sorted(shards, reverse=True)}
+        assert rollup_snapshots(forward) == rollup_snapshots(backward)
 
     def test_string_values_are_skipped(self):
-        agg = TelemetryAggregator()
-        agg.ingest("a", metrics={"x": 1, "version": "1.2"})
-        assert "version" not in agg.rollup()
+        rollup = rollup_snapshots({"a": {"x": 1, "version": "1.2"}})
+        assert "version" not in rollup
 
     def test_per_shard_summary(self):
-        agg = TelemetryAggregator()
-        agg.ingest("a", metrics={"machine.cycles": 100,
-                                 "machine.instructions": 50})
-        summary = agg.per_shard_summary()
-        assert summary["a"]["cycles"] == 100
-        assert summary["a"]["instructions"] == 50
-        assert summary["a"]["trace_events"] == 0
+        snapshot = _folded({"a": {"machine.cycles": 100,
+                                  "machine.instructions": 50}})
+        assert snapshot["sweep.shard.a.cycles"] == 100
+        assert snapshot["sweep.shard.a.instructions"] == 50
+        assert snapshot["sweep.shard.a.trace_events"] == 0
 
 
 class TestMergeInto:
     def test_registry_keys(self):
-        agg = TelemetryAggregator()
-        agg.ingest("a", metrics={"machine.cycles": 100, "rate": 2.0},
-                   payload={"format": TELEMETRY_FORMAT,
-                            "trace": [_trace_event()]})
-        agg.ingest("b", metrics={"machine.cycles": 40, "rate": 4.0},
-                   payload="bad")
-        registry = MetricsRegistry()
-        agg.merge_into(registry)
-        snapshot = registry.snapshot()
-        assert snapshot["sweep.telemetry.shards"] == 2
-        assert snapshot["sweep.telemetry.quarantined"] == 1
-        assert snapshot["sweep.telemetry.trace_events"] == 1
+        snapshot = _folded(
+            {"a": {"machine.cycles": 100, "rate": 2.0, "lat.min": 3},
+             "b": {"machine.cycles": 40, "rate": 4.0, "lat.min": 1}},
+            {"a": [_trace_event()]})
         assert snapshot["sweep.rollup.machine.cycles"] == 140
         assert snapshot["sweep.rollup.rate"] == 3.0
+        assert snapshot["sweep.rollup.lat.min"] == 1
         assert snapshot["sweep.shard.a.cycles"] == 100
+        assert snapshot["sweep.shard.b.cycles"] == 40
+        assert snapshot["sweep.shard.a.trace_events"] == 1
+        assert not any(name.startswith("sweep.telemetry.")
+                       for name in snapshot.values)
 
 
 class FakeClock:

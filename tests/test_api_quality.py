@@ -27,8 +27,7 @@ MODULES = [
     "repro.obs", "repro.obs.causality", "repro.obs.coverage",
     "repro.obs.events", "repro.obs.exporters", "repro.obs.inspect",
     "repro.obs.forensics", "repro.obs.logging", "repro.obs.metrics",
-    "repro.obs.perfdb", "repro.obs.profiler", "repro.obs.telemetry",
-    "repro.obs.tracer",
+    "repro.obs.perfdb", "repro.obs.profiler", "repro.obs.tracer",
     "repro.recorder", "repro.recorder.logfmt", "repro.recorder.mrr",
     "repro.recorder.ordering", "repro.recorder.snoop_table",
     "repro.recorder.traq",
