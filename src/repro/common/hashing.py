@@ -26,7 +26,8 @@ import hashlib
 import json
 import math
 
-__all__ = ["canonicalize", "canonical_json", "stable_digest"]
+__all__ = ["canonicalize", "canonical_json", "canonical_digest",
+           "stable_digest"]
 
 
 def canonicalize(obj):
@@ -70,6 +71,13 @@ def canonical_json(obj) -> str:
 def stable_digest(obj, *, length: int = 32) -> str:
     """Hex SHA-256 digest of ``obj``'s canonical JSON (stable across
     interpreter runs, ``PYTHONHASHSEED`` values and dict orderings)."""
-    digest = hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
-    return digest[:length]
+    return canonical_digest(canonicalize(obj), length=length)
+
+
+def canonical_digest(data, *, length: int = 32) -> str:
+    """:func:`stable_digest` of ``data`` that is already
+    :func:`canonicalize`'s output (or built from such parts), without
+    walking it again."""
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:length]
 

@@ -29,6 +29,7 @@ through the two pieces this module provides:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -39,7 +40,7 @@ from pathlib import Path
 
 from ..common.config import RecorderConfig
 from ..common.errors import ReproError
-from ..common.hashing import stable_digest
+from ..common.hashing import canonical_digest, canonicalize
 from ..sim.machine import RunResult
 from ..sim.serialize import (SERIALIZATION_VERSION, check_keys,
                              split_run_result)
@@ -77,10 +78,22 @@ class SweepError(ReproError):
 def cache_key(key: RunKey,
               variants: dict[str, RecorderConfig] | None = None,
               *, salt: str = CODE_SALT) -> str:
-    """Content address of one shard: digest of run key + variants + salt."""
+    """Content address of one shard: digest of run key + variants + salt
+    (``stable_digest`` of the three, with each distinct variants mapping
+    canonicalized once)."""
     variants = VARIANTS if variants is None else variants
-    return stable_digest({"key": key.to_dict(), "variants": variants,
-                          "salt": salt})
+    return canonical_digest({
+        "key": canonicalize(key.to_dict()),
+        "variants": _canonical_variants(tuple(variants.items())),
+        "salt": salt})
+
+
+@functools.lru_cache(maxsize=16)
+def _canonical_variants(items: tuple) -> dict:
+    """The canonical form of one variants mapping, given as its items:
+    ``RecorderConfig`` is frozen, so they key the memo.  Callers only
+    read the shared result."""
+    return canonicalize(dict(items))
 
 
 class ResultCache:

@@ -43,9 +43,9 @@ class _WriterTrackingMemory(dict):
     """Replay memory that attributes every write to (core, chunk).
 
     The replay loop sets ``current`` to the interval being executed; every
-    ``memory[addr] = value`` — native InorderBlock stores, RMWs and
-    PatchedWrites alike — then lands in ``writers``, giving the forensics
-    reporter a last-writer map at zero structural cost to the interpreter.
+    write in it — native InorderBlock stores and RMWs
+    (:meth:`ThreadContext.run_block`) and PatchedWrites — then lands in
+    ``writers``, giving the forensics reporter a last-writer map.
     """
 
     __slots__ = ("current", "writers")
@@ -54,11 +54,6 @@ class _WriterTrackingMemory(dict):
         super().__init__(*args, **kwargs)
         self.current: tuple[int, int] | None = None  # (core_id, cisn)
         self.writers: dict[int, tuple[int, int]] = {}
-
-    def __setitem__(self, addr, value):
-        if self.current is not None:
-            self.writers[addr] = self.current
-        super().__setitem__(addr, value)
 
 
 @dataclass
@@ -227,28 +222,30 @@ class Replayer:
                 # In the real system the OS waits here for all predecessor
                 # intervals; replaying one chunk at a time makes that wait
                 # implicit.
-                memory.current = (interval.core_id, interval.cisn)
+                owner = memory.current = (interval.core_id, interval.cisn)
                 if access_sink is not None:
                     access_sink.begin_interval(position, interval)
                 context = contexts[interval.core_id]
                 instructions = blocks = injected = dummies = patched = 0
                 for entry in interval.entries:
-                    if isinstance(entry, InorderBlock):
-                        for _ in range(entry.size):
-                            context.step(memory)
+                    kind = type(entry)
+                    if kind is InorderBlock:
+                        context.run_block(memory, entry.size)
                         instructions += entry.size
                         blocks += 1
-                    elif isinstance(entry, ReorderedLoad):
+                    elif kind is ReorderedLoad:
                         context.inject_load_value(entry.value)
                         injected += 1
-                    elif isinstance(entry, Dummy):
+                    elif kind is Dummy:
                         context.skip_store()
                         dummies += 1
-                    elif isinstance(entry, PatchedWrite):
-                        memory[entry.addr] = entry.value & MASK64
+                    elif kind is PatchedWrite:
+                        value = entry.value & MASK64
+                        memory[entry.addr] = value
+                        memory.writers[entry.addr] = owner
                         if access_sink is not None:
                             access_sink.access("patched-store", entry.addr,
-                                               entry.value & MASK64)
+                                               value)
                         patched += 1
                     else:
                         raise LogFormatError(

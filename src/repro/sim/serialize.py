@@ -551,13 +551,19 @@ def _check_run_result(data, payload) -> None:
         check_int_rows(rows, 4, f"dependence_edges.{name}")
 
 
-def _load_trace_from_dict(data: list | None) -> list | None:
+def _load_trace_from_dict(data: list | None, cores: int) -> list | None:
     if data is None:
         return None
     trace = []
     for index, core in enumerate(data):
         check_int_rows(core, 3, f"load_trace[{index}]")
         trace.append([tuple(event) for event in core])
+    if len(trace) != cores:
+        # The verifier pairs per-core lists with replayed cores; a missing
+        # list would leave that core's loads unchecked.
+        raise LogFormatError(
+            f"load_trace has {len(trace)} per-core lists for a run of "
+            f"{cores} cores")
     return trace
 
 
@@ -604,7 +610,8 @@ def run_result_from_dict(data: dict, payload=None) -> RunResult:
         final_memory=final_state_from_dict(data["final_memory"],
                                            data["cores"]),
         bus_transactions=data["bus_transactions"],
-        load_trace=_load_trace_from_dict(data["load_trace"]),
+        load_trace=_load_trace_from_dict(data["load_trace"],
+                                         len(data["cores"])),
         baselines={name: _baselines_from_dict(per_core, f"baselines.{name}")
                    for name, per_core in data["baselines"].items()},
         dependence_edges={name: [IntervalEdge(*row) for row in rows]

@@ -22,6 +22,7 @@ import pytest
 from repro.common.config import (ConsistencyModel, MachineConfig,
                                  RecorderConfig, RecorderMode)
 from repro.common.errors import LogFormatError
+from repro.common.hashing import stable_digest
 from repro.harness import ExperimentRunner
 from repro.harness import runner as runner_module
 from repro.harness.cachestore import CacheBackendError
@@ -31,7 +32,7 @@ from repro.harness.parallel_runner import (
     SweepError,
     cache_key,
 )
-from repro.harness.runner import RunKey, build_workload, execute_run
+from repro.harness.runner import VARIANTS, RunKey, build_workload, execute_run
 from repro.sim.machine import Machine, RunResult
 
 RC = ConsistencyModel.RC
@@ -155,6 +156,22 @@ class TestCacheKey:
         assert cache_key(key, TINY_VARIANTS) != cache_key(key)
         assert cache_key(key, TINY_VARIANTS) != \
             cache_key(key, TINY_VARIANTS, salt=CODE_SALT + ":next")
+
+    @pytest.mark.parametrize("variants", [VARIANTS, TINY_VARIANTS],
+                             ids=["VARIANTS", "TINY_VARIANTS"])
+    def test_equals_the_digest_of_the_whole_description(self, variants):
+        """Canonicalizing each variants mapping once keeps every key
+        byte-identical to the digest of key, variants and salt."""
+        for key in (tiny_key(), tiny_key(workload="radix", cores=8)):
+            for salt in (CODE_SALT, CODE_SALT + ":next"):
+                expected = stable_digest({"key": key.to_dict(),
+                                          "variants": variants,
+                                          "salt": salt})
+                # The first call fills the memo, the second reads it.
+                assert cache_key(key, variants, salt=salt) == expected
+                assert cache_key(key, variants, salt=salt) == expected
+        assert cache_key(tiny_key(), dict(variants)) == cache_key(
+            tiny_key(), variants)
 
     def test_stable_across_interpreter_runs(self):
         """Regression: the digest must not depend on ``PYTHONHASHSEED``.

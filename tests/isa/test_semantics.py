@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.isa.builder import ThreadBuilder
 from repro.isa.instructions import MASK64, AluOp, RmwOp
 from repro.isa.semantics import eval_alu, eval_rmw
+from repro.replay.interpreter import ThreadContext
 
 u64 = st.integers(min_value=0, max_value=MASK64)
 
@@ -38,6 +40,35 @@ class TestAlu:
     @given(u64, u64, st.sampled_from(list(AluOp)))
     def test_result_fits_64_bits(self, a, b, op):
         assert 0 <= eval_alu(op, a, b) <= MASK64
+
+
+class TestOneAluDefinition:
+    """The replayer's decoded table evaluates every ALU operation exactly
+    as the core's ``eval_alu`` does."""
+
+    @pytest.mark.parametrize("a,b", [
+        (7, 3),
+        (MASK64, 2),          # wraparound (add, mul, shl)
+        (0, 1),               # sub below zero
+        (1, 64),              # shift of 64 uses its low six bits
+        (MASK64, 127),        # shift of 127 uses 63
+        (MASK64, 0),          # unsigned compare: max is not below 0
+        (0, MASK64),
+        (1 << 63, 1 << 63),
+    ])
+    @pytest.mark.parametrize("op", list(AluOp), ids=lambda op: op.value)
+    def test_one_block_replay_matches_eval_alu(self, op, a, b):
+        builder = ThreadBuilder()
+        builder.movi(1, a)
+        builder.movi(2, b)
+        builder.alu(op, 3, 1, src2=2)    # register form
+        builder.alu(op, 4, 1, imm=b)     # immediate form
+        builder.alu(op, 5, 1, imm=-b)    # negative immediate
+        context = ThreadContext(0, builder.build())
+        context.run_block({}, 5)
+        assert context.regs[3:6] == [eval_alu(op, a, b), eval_alu(op, a, b),
+                                     eval_alu(op, a, -b)]
+        assert (context.pc, context.instructions_executed) == (5, 5)
 
 
 class TestRmw:

@@ -375,6 +375,10 @@ class TestFailureExitCodes:
         ("load_trace[0][0] must be an array of 3 integers",
          ("load_trace",), [[5]]),
         ("load_trace[0] must be an array", ("load_trace",), [5]),
+        ("load_trace has 0 per-core lists for a run of 2 cores",
+         ("load_trace",), []),
+        ("load_trace has 1 per-core lists for a run of 2 cores",
+         ("load_trace",), [[[0, 0x1000, 1]]]),
         ("baselines.x[0] must be an object", ("baselines", "x"), [5]),
         ("baselines.x must be an array", ("baselines", "x"), 5),
         ("baselines.x[0].chunked must be a boolean", ("baselines", "x"),
