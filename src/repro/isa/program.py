@@ -24,14 +24,26 @@ class ThreadProgram:
         return self.instructions[index]
 
     def validate(self) -> None:
-        # Memoized like Program.validate: a builder validates the thread it
-        # returns and the Program the thread joins validates it again.
+        """Check every position's instruction against this thread's length.
+
+        Each distinct instruction object is validated once, in the order
+        of its first position: a loaded program shares one object between
+        equal entries (:func:`repro.storage.program_from_dict`), while the
+        workload builders make one per position.  The error raised is the
+        one a pass over every position would raise first, since a failing
+        position's object first appears at or before it.  The identity
+        map lives only inside this call.  Memoized like
+        :meth:`Program.validate`: a builder validates the thread it
+        returns and the Program the thread joins validates it again.
+        """
         if getattr(self, "_validated", False):
             return
-        if not self.instructions:
+        instructions = self.instructions
+        if not instructions:
             raise WorkloadError(f"thread program {self.name!r} is empty")
-        length = len(self.instructions)
-        for instruction in self.instructions:
+        length = len(instructions)
+        for instruction in {id(instr): instr
+                            for instr in instructions}.values():
             instruction.validate(length)
         self._validated = True
 

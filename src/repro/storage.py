@@ -20,6 +20,8 @@ checks the payload's length and SHA-256 and returns a
 from __future__ import annotations
 
 import dataclasses
+import functools
+import gc
 import hashlib
 import json
 from pathlib import Path, PurePath
@@ -37,7 +39,7 @@ from .common.config import (
     ReplayCostConfig,
     RingConfig,
 )
-from .common.errors import LogFormatError
+from .common.errors import LogFormatError, WorkloadError
 from .isa.instructions import AluOp, Instruction, Opcode, RmwOp
 from .isa.program import Program, ThreadProgram
 # Unused here, but bound for perfbench/spans.py, which wraps each by name
@@ -157,15 +159,60 @@ def program_to_dict(program: Program) -> dict:
     }
 
 
+def _first_invalid(thread: ThreadProgram) -> int | None:
+    """The first position of ``thread`` whose instruction fails validation
+    (None for an empty thread): a pass over every position, for the error
+    path only."""
+    for index, instruction in enumerate(thread.instructions):
+        try:
+            instruction.validate(len(thread))
+        except WorkloadError:
+            return index
+    return None
+
+
+def _collector_paused(function):
+    """``function`` with the cyclic garbage collector paused while it runs;
+    the caller's state, enabled or not, is restored in ``finally``.
+
+    For a bulk decode that builds only acyclic objects: a collection
+    there frees nothing, yet the decode's allocations trigger them, and
+    each full one scans the caller's whole heap.  Nothing allocates
+    between the restore and the return, so no collection runs inside the
+    call.  Mercurial's ``util.nogc`` pauses the collector for the same
+    reason.
+    """
+    @functools.wraps(function)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
+@_collector_paused
 def program_from_dict(data: dict) -> Program:
     """Rebuild (and validate) a program written by :func:`program_to_dict`.
 
-    Entries with equal items share one frozen :class:`Instruction`, so the
-    loaded program must not be keyed on instruction identity; a field's
-    type is checked on the first of equal entries.  A missing or wrongly
-    typed key, an unknown ``op``/``alu``/``rmw`` value or a bad
-    ``initial_memory`` key or value raises :class:`LogFormatError` naming
-    its path, e.g. ``program.threads[0].instructions[3].dst``.
+    The work is one step per distinct instruction, not per position.
+    Entries with the same keys in the same order and equal values share
+    one frozen :class:`Instruction`, found through one flat
+    ``(*keys, *values)`` tuple per entry, so the loaded program must not
+    be keyed on instruction identity beyond one call; a field's type is
+    checked on the first of equal entries, and
+    :meth:`ThreadProgram.validate` checks each distinct object once per
+    thread.  A missing or wrongly typed key, an unknown
+    ``op``/``alu``/``rmw`` value or a bad ``initial_memory`` key or value
+    raises :class:`LogFormatError` naming its path, e.g.
+    ``program.threads[0].instructions[3].dst``.  An instruction that fails
+    validation raises :class:`WorkloadError` naming its first failing
+    position: ``program.threads[t].instructions[i]: <message>``.  The
+    decode builds only acyclic objects, so the cyclic garbage collector
+    is paused while it runs.
     """
     check_keys(data, {"threads": (list,)}, "program")
     name = data.get("name", "program")
@@ -182,25 +229,36 @@ def program_from_dict(data: dict) -> Program:
         instructions = []
         for index, entry in enumerate(thread["instructions"]):
             try:
-                key = tuple(entry.items())
-            except AttributeError:  # not a JSON object
+                key = (*entry, *entry.values())
+            except (AttributeError, TypeError):  # not a JSON object
                 check_type(entry, (dict,), f"{where}.instructions[{index}]")
             try:
-                instruction = shared[key]
-            except KeyError:
-                instruction = shared[key] = _instruction_from_dict(
-                    entry, thread_index, index)
+                instruction = shared.get(key)
             except TypeError:  # an unhashable field value: not shared
                 instruction = _instruction_from_dict(entry, thread_index,
                                                      index)
+            else:
+                if instruction is None:
+                    instruction = shared[key] = _instruction_from_dict(
+                        entry, thread_index, index)
             instructions.append(instruction)
         threads.append(ThreadProgram(instructions, name=thread_name))
-    return Program(
+    program = Program(
         threads,
         initial_memory=int_map_from_dict(data.get("initial_memory", {}),
                                         "program.initial_memory"),
         name=name, metadata=metadata,
-    ).validate()
+    )
+    for thread_index, thread in enumerate(threads):
+        try:
+            thread.validate()
+        except WorkloadError as exc:
+            index = _first_invalid(thread)
+            if index is None:  # an empty thread
+                raise
+            raise WorkloadError(
+                f"{_instruction_path(thread_index, index)}: {exc}") from None
+    return program.validate()
 
 
 def save_program(program: Program, path: str | Path) -> Path:

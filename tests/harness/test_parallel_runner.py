@@ -21,7 +21,7 @@ import pytest
 
 from repro.common.config import (ConsistencyModel, MachineConfig,
                                  RecorderConfig, RecorderMode)
-from repro.common.errors import LogFormatError
+from repro.common.errors import LogFormatError, WorkloadError
 from repro.common.hashing import stable_digest
 from repro.harness import ExperimentRunner
 from repro.harness import runner as runner_module
@@ -388,6 +388,31 @@ class TestCachePayload:
         assert result.total_instructions > 0
         with pytest.raises(LogFormatError, match=re.escape(
                 "program.threads[1].instructions[0] must be an object")):
+            result.program
+
+    def test_invalid_instruction_in_an_entry_names_its_position(
+            self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        key = tiny_key()
+        cache.put(key, execute_run(key, TINY_VARIANTS), TINY_VARIANTS)
+        position = []
+
+        def bad_register(header, payload):
+            offset, length = header["result"]["program"]
+            program = json.loads(payload[offset:offset + length])
+            entries = program["threads"][1]["instructions"]
+            position.append(next(index for index, entry in enumerate(entries)
+                                 if "dst" in entry))
+            entries[position[0]]["dst"] = 99
+            # Compact separators leave room for the longer value.
+            payload[offset:offset + length] = json.dumps(
+                program, separators=(",", ":")).encode().ljust(length)
+        edit_entry(cache, key, bad_register, redigest=True)
+        result = cache.get(key, TINY_VARIANTS)
+        assert result is not None and cache.corrupt == 0
+        with pytest.raises(WorkloadError, match=re.escape(
+                f"program.threads[1].instructions[{position[0]}]: register "
+                f"r99 out of range")):
             result.program
 
     def test_warm_figures_decode_no_program_and_no_log(self, tmp_path,

@@ -2,6 +2,7 @@
 
 import base64
 import dataclasses
+import gc
 import hashlib
 import json
 import re
@@ -81,12 +82,13 @@ class TestProgramSerialization:
 
 
 def _count_validations(monkeypatch) -> list:
-    """Count ``Instruction.validate`` calls made after this point."""
+    """Record each ``Instruction.validate`` call made after this point, as
+    ``(instruction, program_length)``."""
     calls = []
     original = Instruction.validate
 
     def counting(self, program_length):
-        calls.append(self)
+        calls.append((self, program_length))
         return original(self, program_length)
 
     monkeypatch.setattr(Instruction, "validate", counting)
@@ -148,6 +150,15 @@ class TestProgramLoading:
          lambda data: data["threads"][0].update(name=5)),
         ("program.threads[1].instructions[2] must be an object",
          lambda data: data["threads"][1]["instructions"].__setitem__(2, 5)),
+        ("program.threads[1].instructions[2] must be an object, got an array",
+         lambda data: data["threads"][1]["instructions"].__setitem__(
+             2, ["op", "nop"])),
+        ("program.threads[1].instructions[2] must be an object, got a string",
+         lambda data: data["threads"][1]["instructions"].__setitem__(
+             2, "nop")),
+        ("program.threads[1].instructions[2] must be an object, got null",
+         lambda data: data["threads"][1]["instructions"].__setitem__(
+             2, None)),
         ("program.threads[0].instructions[3].dst must be an integer",
          lambda data: data["threads"][0]["instructions"][3].update(dst="x")),
         ("program.threads[0].instructions[3].imm must be an integer",
@@ -209,7 +220,8 @@ class TestProgramLoading:
         later["dst"] = 41
         with pytest.raises(WorkloadError) as info:
             program_from_dict(data)
-        assert str(info.value) == self._first_error(data, 1, first)
+        assert str(info.value) == (f"program.threads[1].instructions[{first}]"
+                                   f": {self._first_error(data, 1, first)}")
         assert "register r40 out of range" in str(info.value)
 
     def test_bad_branch_target_names_the_first_bad_instruction(self):
@@ -224,9 +236,34 @@ class TestProgramLoading:
         entries[later]["target"] = -1
         with pytest.raises(WorkloadError) as info:
             program_from_dict(data)
-        assert str(info.value) == self._first_error(data, 0, first)
+        assert str(info.value) == (f"program.threads[0].instructions[{first}]"
+                                   f": {self._first_error(data, 0, first)}")
         assert f"branch target {len(entries) + 1} out of range" in \
             str(info.value)
+
+    def test_shared_entry_is_validated_against_each_threads_length(self):
+        # One jump entry in two threads is one instruction, validated
+        # against each thread's own length: a target that fits the longer
+        # thread only is reported at the shorter thread's position.
+        def program(target, short_first=False):
+            jump = {"op": "jump", "target": target}
+            threads = [
+                {"instructions": [{"op": "nop"}, dict(jump),
+                                  *[{"op": "nop"}] * 3, {"op": "halt"}]},
+                {"instructions": [{"op": "nop"}, {"op": "nop"}, dict(jump),
+                                  {"op": "halt"}]}]
+            return {"threads": threads[::-1] if short_first else threads}
+
+        fits = program_from_dict(program(4))
+        assert fits.threads[0][1] is fits.threads[1][2]
+        with pytest.raises(WorkloadError, match=re.escape(
+                "program.threads[1].instructions[2]: branch target 5 out "
+                "of range in Instruction(opcode=<Opcode.JUMP: 'jump'>")):
+            program_from_dict(program(5))
+        with pytest.raises(WorkloadError, match=re.escape(
+                "program.threads[0].instructions[2]: branch target 5 out "
+                "of range")):
+            program_from_dict(program(5, short_first=True))
 
     def test_build_validates_each_instruction_once(self, monkeypatch):
         calls = _count_validations(monkeypatch)
@@ -235,11 +272,76 @@ class TestProgramLoading:
         assert all(thread._validated for thread in program.threads)
 
     def test_load_validates_every_instruction(self, monkeypatch):
+        # Thread by thread, each distinct instruction object is validated
+        # once, in the order of its first position, against that thread's
+        # own length; that covers every position.
         data = program_to_dict(build_workload("fft", num_threads=2,
                                               scale=0.05, seed=1))
         calls = _count_validations(monkeypatch)
         loaded = program_from_dict(data)
-        assert len(calls) == loaded.total_instructions()
+        expected = [(id(instr), len(thread)) for thread in loaded.threads
+                    for instr in {id(instr): instr
+                                  for instr in thread.instructions}.values()]
+        assert [(id(instr), length) for instr, length in calls] == expected
+        assert len(calls) < loaded.total_instructions()
+
+
+class TestCollectorPause:
+    """The program decode builds only acyclic objects, so it runs with the
+    cyclic garbage collector paused, and hands the collector back in the
+    state it found it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("outcome", ["loads", "LogFormatError",
+                                         "WorkloadError"])
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    def test_decode_leaves_the_collector_as_it_found_it(self, enabled,
+                                                        outcome):
+        data = program_to_dict(random_program(2, 40, seed=1))
+        entries = data["threads"][1]["instructions"]
+        if outcome == "LogFormatError":  # partway through the decode
+            entries[20]["op"] = "bogus"
+        elif outcome == "WorkloadError":  # in the validation after it
+            entries[20] = {"op": "jump", "target": -1}
+        (gc.enable if enabled else gc.disable)()
+        if outcome == "loads":
+            program_from_dict(data)
+        else:
+            with pytest.raises({"LogFormatError": LogFormatError,
+                                "WorkloadError": WorkloadError}[outcome],
+                               match=re.escape(
+                                   "program.threads[1].instructions[20]")):
+                program_from_dict(data)
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_runs_during_the_decode(self):
+        data = program_to_dict(build_workload("radix", num_threads=4,
+                                              scale=0.3, seed=1))
+        gc.enable()
+        collections = []
+
+        def hook(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.callbacks.append(hook)
+        try:
+            program = program_from_dict(data)
+        finally:
+            gc.callbacks.remove(hook)
+        assert collections == []
+        # Each distinct instruction is a new tracked object that outlives
+        # the decode: more of them than the youngest generation's
+        # threshold, so without the pause a collection would have run.
+        distinct = {id(instr) for thread in program.threads
+                    for instr in thread.instructions}
+        assert len(distinct) > gc.get_threshold()[0]
 
 
 def redigest(root) -> None:

@@ -324,6 +324,14 @@ class TestFailureExitCodes:
             (f"{first}.dst must be an integer",
              lambda program: program["threads"][1]["instructions"][0]
              .update(dst="x")),
+            # Thread 1's first register-writing entry: SB's first load,
+            # after three staggering nops.
+            ("program.threads[1].instructions[3]: register r99 out of range",
+             lambda program: program["threads"][1]["instructions"][3]
+             .update(dst=99)),
+            (f"{first}: branch target -1 out of range",
+             lambda program: program["threads"][1]["instructions"]
+             .__setitem__(0, {"op": "jump", "target": -1})),
             ('program.initial_memory["zz"]',
              lambda program: program.update(initial_memory={"zz": 1})),
         ]
