@@ -13,9 +13,10 @@ through the two pieces this module provides:
   recorder variant configs and a code-version salt, computed with
   :func:`repro.common.hashing.stable_digest` so keys are identical across
   interpreter runs, ``PYTHONHASHSEED`` values and dict orderings.  An
-  entry is a JSON header (the result's stats and counters, and the
-  SHA-256 of the payload) and an opaque payload (the program and the
-  logs), which a hit checks against its digest but decodes only when
+  entry is a JSON header (what the figure tables read: the counters,
+  each variant's merged stats, and the SHA-256 of the payload) and an
+  opaque payload (the program, the per-core outputs and final state, and
+  the logs), which a hit checks against its digest but decodes only when
   read.  Publishes are atomic and first-writer-wins; corrupt entries are
   deleted with a warning (and a per-reason counter) and recomputed.
 
@@ -52,7 +53,8 @@ __all__ = ["CACHE_FORMAT", "DEFAULT_CACHE_DIR", "CACHE_FILE", "SweepError",
 
 #: Bumped when the cache envelope layout changes.
 #: v2: a JSON header line, then the payload (program and logs) it digests.
-CACHE_FORMAT = 2
+#: v3: the header keeps the merged stats; the payload gains the detail part.
+CACHE_FORMAT = 3
 
 #: Where sweep results live unless a cache dir is given explicitly.
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -106,11 +108,11 @@ class ResultCache:
     envelope format and its validation; the store only sees opaque keyed
     blobs.
 
-    An entry is one line of JSON header, then the payload: the result's
-    program and logs (:func:`~repro.sim.serialize.split_run_result`).
-    The header holds the rest of the result and the payload's length and
-    SHA-256, which :meth:`get` checks before it returns a result whose
-    program and logs decode on first read.
+    An entry is one line of JSON header, then the payload
+    (:func:`~repro.sim.serialize.split_run_result`): the header holds what
+    the figure tables read and the payload's length and SHA-256, which
+    :meth:`get` checks before it returns a result whose program, logs,
+    per-core outputs and final state decode on first read.
     """
 
     def __init__(self, cache_dir: str | Path = DEFAULT_CACHE_DIR, *,
@@ -153,8 +155,9 @@ class ResultCache:
         An entry that cannot be parsed, fails header validation or whose
         payload does not match its digest is deleted from the store with
         a warning and a per-reason counter, and the shard is recomputed —
-        a damaged cache never poisons a sweep.  The result's program and
-        logs decode on first read; a bad one raises
+        a damaged cache never poisons a sweep.  The result's program,
+        logs and :data:`~repro.sim.serialize.DETAIL_FIELDS` decode on
+        first read; a bad one raises
         :class:`~repro.common.errors.LogFormatError` then.
         """
         address = cache_key(key, variants)
@@ -203,17 +206,22 @@ class ResultCache:
 
     # ------------------------------------------------------------ publishes
 
-    def put(self, key: RunKey, result: RunResult,
+    def put(self, key: RunKey, result: RunResult | tuple[dict, bytes],
             variants: dict[str, RecorderConfig] | None = None,
             *, meta: dict | None = None) -> None:
         """Atomically persist ``result`` under ``key``'s content address.
 
-        First writer wins: if another sweep process sharing the cache
-        file published this key first, this call's bytes are discarded
-        (the entries are content-addressed, so they describe the same run
-        anyway) and the race is counted in ``write_races``.
+        ``result`` is a :class:`RunResult` or its cache form, the
+        ``(header, payload)`` pair of
+        :func:`~repro.sim.serialize.split_run_result` (a pooled sweep
+        splits each worker's reply once).  First writer wins: if another
+        sweep process sharing the cache file published this key first,
+        this call's bytes are discarded (the entries are
+        content-addressed, so they describe the same run anyway) and the
+        race is counted in ``write_races``.
         """
-        header, payload = split_run_result(result.to_dict())
+        header, payload = (split_run_result(result.to_dict())
+                           if isinstance(result, RunResult) else result)
         header = {
             "cache_format": CACHE_FORMAT,
             "salt": CODE_SALT,

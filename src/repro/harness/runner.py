@@ -53,6 +53,7 @@ from ..obs.logging import get_logger
 from ..obs.metrics import MetricsRegistry, MetricsSnapshot, rollup_snapshots
 from ..obs.tracer import Tracer
 from ..sim import Machine, RunResult
+from ..sim.serialize import split_run_result
 from ..workloads import WORKLOAD_NAMES, build_workload
 
 __all__ = ["VARIANTS", "VARIANT_ORDER", "RunKey", "ExperimentRunner",
@@ -487,14 +488,17 @@ class ExperimentRunner:
             return recorded
 
         def landed(index: int, key: RunKey, reply: dict) -> None:
-            result = reply["result"]
+            result = entry = reply["result"]
             if jobs > 1:
-                result = RunResult.from_dict(result)
+                # A worker's wire form is split once: the cache stores the
+                # split and the memo reads it back, decoding on first read.
+                entry = split_run_result(result)
+                result = RunResult.from_dict(*entry)
             self._memo[key] = result
             recorded[key] = reply.get("trace")
             wall = reply["wall_seconds"]
             if self.cache is not None:
-                self.cache.put(key, result, self.variants,
+                self.cache.put(key, entry, self.variants,
                                meta={"wall_seconds": wall})
             if progress is not None:
                 progress.shard_done(key.describe(), "run", wall)

@@ -131,8 +131,9 @@ class ThreadBuilder:
         return self.alu(AluOp.CMPEQ, dst, a, imm=imm)
 
     def nop(self, count: int = 1) -> "ThreadBuilder":
-        for _ in range(count):
-            self.emit(Instruction(Opcode.NOP))
+        """Append ``count`` NOPs: one frozen instruction at each position,
+        so the thread's validation checks it once."""
+        self._instructions.extend([Instruction(Opcode.NOP)] * count)
         return self
 
     # ------------------------------------------------------- control flow

@@ -99,6 +99,15 @@ class RecorderStats:
             for key, value in getattr(other, name).items():
                 merged[key] = merged.get(key, 0) + value
 
+    @classmethod
+    def merged(cls, per_core) -> "RecorderStats":
+        """A variant's stats merged over its cores, folded in the given
+        (core) order, which fixes the key order of the dict fields."""
+        total = cls()
+        for stats in per_core:
+            total.merge(stats)
+        return total
+
     def counters(self) -> dict[str, int]:
         """Flat counter dict for the metrics registry."""
         return {name: getattr(self, name) for name in self.COUNTER_FIELDS}

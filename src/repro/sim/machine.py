@@ -41,22 +41,34 @@ class _DecodedOnRead:
     """A dataclass field that may be given a ``functools.partial`` that
     decodes its value.  The first read calls it and keeps the value in its
     place; a decode that raises stays in place, so every later read raises
-    again.  A result loaded from the result cache holds its program and
-    logs this way (:func:`repro.sim.serialize.run_result_from_dict`), so a
-    reader of its stats never pays for decoding them."""
+    again.  A result loaded from the result cache holds its program, logs,
+    per-core recorder outputs, final memory, load trace and dependence
+    edges this way (:func:`repro.sim.serialize.run_result_from_dict`), so
+    a reader of its stats never pays for decoding them.
+
+    With ``default_factory`` the field has a default: the dataclass takes
+    the descriptor itself as the default value, and setting it calls the
+    factory."""
+
+    def __init__(self, default_factory=None):
+        self.default_factory = default_factory
 
     def __set_name__(self, owner, name: str) -> None:
         self.name = name
 
     def __get__(self, obj, owner=None):
-        if obj is None:     # no class-level default for the dataclass
-            raise AttributeError(self.name)
+        if obj is None:
+            if self.default_factory is None:  # no default for the dataclass
+                raise AttributeError(self.name)
+            return self
         value = obj.__dict__[self.name]
         if type(value) is partial:
             value = obj.__dict__[self.name] = value()
         return value
 
     def __set__(self, obj, value) -> None:
+        if value is self:
+            value = self.default_factory()
         obj.__dict__[self.name] = value
 
 
@@ -66,7 +78,7 @@ class RecorderOutput:
 
     core_id: int
     config: RecorderConfig
-    entries: list[LogEntry] = _DecodedOnRead()    # may be given a partial
+    entries: list[LogEntry] = _DecodedOnRead()
     stats: RecorderStats
 
 
@@ -93,29 +105,32 @@ class CoreResult:
 class RunResult:
     """Everything a recording run produces.
 
-    ``program`` and each recording's ``entries`` may be given as a
-    ``functools.partial`` that decodes them on first read.
+    ``program``, ``recordings``, ``final_memory``, ``load_trace``,
+    ``dependence_edges`` and each recording's ``entries`` may be given as
+    a ``functools.partial`` that decodes them on first read.
     """
 
-    program: Program = _DecodedOnRead()    # may be given a partial
+    program: Program = _DecodedOnRead()
     config: MachineConfig
     cycles: int
     cores: list[CoreResult]
-    recordings: dict[str, list[RecorderOutput]]
-    final_memory: dict[int, int]
+    recordings: dict[str, list[RecorderOutput]] = _DecodedOnRead()
+    final_memory: dict[int, int] = _DecodedOnRead()
     bus_transactions: int
-    load_trace: list[list[tuple[int, int, int]]] | None = None
+    load_trace: list[list[tuple[int, int, int]]] | None = _DecodedOnRead(
+        lambda: None)
     # Baseline recorders (repro.baselines) attached to the same execution,
     # keyed by name; each value is the per-core list of recorder objects.
     baselines: dict[str, list] = field(default_factory=dict)
     # Cyrus-style pairwise interval edges per variant (collected when the
     # run was started with collect_dependence_edges=True); consumed by
     # repro.replay.parallel.
-    dependence_edges: dict[str, list] = field(default_factory=dict)
+    dependence_edges: dict[str, list] = _DecodedOnRead(dict)
     # End-of-run flat metrics snapshot (repro.obs), always populated by
     # Machine.run; None only for hand-built results in tests.
     metrics: MetricsSnapshot | None = None
-    # Variant -> stats merged over its cores (recording_stats).
+    # Variant -> stats merged over its cores (recording_stats); a result
+    # loaded from the cache form starts with every variant's.
     _merged_stats: dict[str, RecorderStats] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -158,9 +173,8 @@ class RunResult:
         must treat it as read-only."""
         total = self._merged_stats.get(variant)
         if total is None:
-            total = self._merged_stats[variant] = RecorderStats()
-            for output in self.recordings[variant]:
-                total.merge(output.stats)
+            total = self._merged_stats[variant] = RecorderStats.merged(
+                output.stats for output in self.recordings[variant])
         return total
 
     def log_rate_mb_per_s(self, variant: str) -> float:

@@ -17,9 +17,11 @@ recorder *objects* do not cross the boundary — only the
 ``log_bits``/``instructions_counted`` counters the figures consume; they
 come back as lightweight :class:`BaselineSummary` stand-ins.
 
-The result cache stores the *cache form* (:func:`split_run_result`): the
-wire dict with the program and every log moved into one opaque payload,
-so a reader of the stats decodes neither.
+The result cache stores the *cache form* (:func:`split_run_result`),
+split by reader: a header with what the figure tables read (each
+variant's stats merged over its cores) and one digest-checked payload
+with the rest (the program, the per-core outputs and final state, the
+logs), which decodes only when read.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import base64
 import binascii
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from types import SimpleNamespace
 
 from ..common.config import MachineConfig, RecorderConfig
@@ -49,8 +51,8 @@ __all__ = [
     "metrics_snapshot_to_dict", "metrics_snapshot_from_dict",
     "thread_context_to_dict", "thread_context_from_dict",
     "run_result_to_dict", "run_result_from_dict", "split_run_result",
-    "check_type", "check_keys", "check_int_rows",
-    "int_map_from_dict", "final_state_from_dict",
+    "DETAIL_FIELDS", "check_type", "check_keys", "check_int_rows",
+    "int_map_from_dict",
 ]
 
 #: Bumped whenever the wire format changes; part of the cache key salt.
@@ -238,6 +240,9 @@ def _core_result_to_dict(core: CoreResult) -> dict:
 
 
 def _core_result_from_dict(data: dict, path: str) -> CoreResult:
+    for reg, value in enumerate(data["final_regs"]):
+        if type(value) is not int:
+            check_type(value, (int,), f"{path}.final_regs[{reg}]")
     return CoreResult(
         core_id=data["core_id"],
         instructions=data["instructions"],
@@ -280,22 +285,24 @@ def _decode_log(data, bit_length: int, config: RecorderConfig,
 
 
 def _recorder_output_from_dict(data: dict, path: str,
-                               payload) -> RecorderOutput:
+                               log=None) -> RecorderOutput:
+    """One per-core output.  ``log`` is the raw log of the cache form,
+    which decodes on first read; without it the wire form's base64
+    ``log`` decodes here."""
     from ..storage import config_from_dict
 
     config = config_from_dict(RecorderConfig, data["config"],
                               f"{path}.config")
     stats = recorder_stats_from_dict(data["stats"], f"{path}.stats")
-    if payload is None:
+    if log is None:
         try:
             log = base64.b64decode(data["log"])
         except binascii.Error as exc:
             raise LogFormatError(f"{path}.log is not base64: {exc}") from None
         entries = _decode_log(log, data["bit_length"], config, f"{path}.log")
     else:
-        offset, length = data["log"]
-        entries = partial(_decode_log, payload[offset:offset + length],
-                          data["bit_length"], config, f"{path}.log")
+        entries = partial(_decode_log, log, data["bit_length"], config,
+                          f"{path}.log")
     return RecorderOutput(core_id=data["core_id"], config=config,
                           entries=entries, stats=stats)
 
@@ -365,12 +372,29 @@ def run_result_to_dict(result: RunResult) -> dict:
     }
 
 
-def split_run_result(data: dict) -> tuple[dict, bytes]:
-    """Split a wire-form run result into its cache form.
+#: The wire-form keys the cache form's header keeps as they are.
+_HEADER_FIELDS = ("serialization_version", "config", "cycles", "cores",
+                  "bus_transactions", "baselines", "metrics")
 
-    Returns a copy of ``data`` whose ``program`` and every recording's
-    ``log`` are ``[offset, length]`` references into the returned payload,
-    which holds the program's JSON text and each log's raw bytes.
+#: The :class:`RunResult` fields the cache form keeps in its detail part.
+DETAIL_FIELDS = ("recordings", "final_memory", "load_trace",
+                 "dependence_edges")
+
+
+def split_run_result(data: dict) -> tuple[dict, bytes]:
+    """Split a wire-form run result into its cache form, by reader.
+
+    The returned header keeps what the figure tables read: the wire
+    form's ``config``, ``cycles``, ``cores``, ``bus_transactions``,
+    ``baselines`` and ``metrics``, and ``variants``, each variant's stats
+    merged over its cores in core order (as
+    :meth:`RunResult.recording_stats` merges them) beside its ``logs``.
+    The returned payload holds the program's JSON text, then the *detail
+    part* (JSON: ``recordings``, each per-core output without its log,
+    and ``final_memory``, ``load_trace`` and ``dependence_edges``, as the
+    wire form holds them), then each log's raw bytes; the header's
+    ``program``, ``detail`` and each ``variants.<v>.logs[i]`` are
+    ``[offset, length]`` references into it.
     ``run_result_from_dict(header, payload)`` reads it back.
     """
     payload = bytearray()
@@ -379,12 +403,22 @@ def split_run_result(data: dict) -> tuple[dict, bytes]:
         payload.extend(blob)
         return [len(payload) - len(blob), len(blob)]
 
-    header = dict(data)
+    recordings = data["recordings"]
+    header = {key: data[key] for key in _HEADER_FIELDS}
     header["program"] = add(json.dumps(data["program"]).encode())
-    header["recordings"] = {
-        name: [{**output, "log": add(base64.b64decode(output["log"]))}
-               for output in outputs]
-        for name, outputs in data["recordings"].items()}
+    header["detail"] = add(json.dumps({
+        "recordings": {
+            name: [{key: value for key, value in output.items()
+                    if key != "log"} for output in outputs]
+            for name, outputs in recordings.items()},
+        **{key: data[key] for key in DETAIL_FIELDS[1:]}}).encode())
+    header["variants"] = {
+        name: {"stats": recorder_stats_to_dict(RecorderStats.merged(
+                   recorder_stats_from_dict(output["stats"])
+                   for output in outputs)),
+               "logs": [add(base64.b64decode(output["log"]))
+                        for output in outputs]}
+        for name, outputs in recordings.items()}
     return header, bytes(payload)
 
 
@@ -423,10 +457,19 @@ _RECORDING_KEYS = {
     "stats": (dict,),
 }
 
-#: The cache form holds references where the wire form holds the
-#: program and the logs.
-_CACHED_RUN_RESULT_KEYS = {**_RUN_RESULT_KEYS, "program": (list,)}
-_CACHED_RECORDING_KEYS = {**_RECORDING_KEYS, "log": (list,)}
+#: The JSON types of each key of a cache-form header, whose ``program``
+#: and ``detail`` are references into the payload.
+_HEADER_KEYS = {**{key: _RUN_RESULT_KEYS[key] for key in _HEADER_FIELDS[1:]},
+                "program": (list,), "detail": (list,), "variants": (dict,)}
+
+#: The JSON types of each key of one header ``variants.<variant>``.
+_VARIANT_KEYS = {"stats": (dict,), "logs": (list,)}
+
+#: The JSON types of each key of the detail part, and of one of its
+#: per-core outputs.
+_DETAIL_KEYS = {key: _RUN_RESULT_KEYS[key] for key in DETAIL_FIELDS}
+_DETAIL_RECORDING_KEYS = {key: types for key, types in _RECORDING_KEYS.items()
+                          if key != "log"}
 
 _JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string",
                     int: "an integer", float: "a number", bool: "a boolean",
@@ -492,35 +535,39 @@ def int_map_from_dict(data, path: str) -> dict[int, int]:
     return decoded
 
 
-def final_state_from_dict(final_memory, cores: list) -> dict[int, int]:
-    """Check a serialized final machine state: each element of each
-    ``cores[i].final_regs`` must be an integer, and ``final_memory`` a
-    memory image (:func:`int_map_from_dict`).  Returns the decoded final
-    memory; the first mismatch raises :class:`LogFormatError` naming its
-    path, ``cores[i].final_regs[j]`` or ``final_memory[...]``."""
-    for index, core in enumerate(cores):
-        for reg, value in enumerate(core["final_regs"]):
-            if type(value) is not int:
-                check_type(value, (int,),
-                           f"cores[{index}].final_regs[{reg}]")
-    return int_map_from_dict(final_memory, "final_memory")
-
-
-def _check_ref(ref: list, payload, path: str) -> None:
+def _check_ref(ref, size: int, path: str) -> None:
     """A cache-form reference must be ``[offset, length]`` inside the
-    payload."""
-    if (len(ref) != 2 or type(ref[0]) is not int or type(ref[1]) is not int
-            or ref[0] < 0 or ref[1] < 0 or sum(ref) > len(payload)):
+    ``size``-byte payload."""
+    try:
+        offset, length = ref
+    except (TypeError, ValueError):
+        offset = length = None
+    if (type(offset) is not int or type(length) is not int or offset < 0
+            or length < 0 or offset + length > size):
         raise LogFormatError(f"{path} must be an [offset, length] reference "
-                             f"into the {len(payload)}-byte payload")
+                             f"into the {size}-byte payload")
 
 
-def _check_run_result(data, payload) -> None:
-    """Check a serialized run result's shape: the version, every top-level
-    key, each ``cores`` and ``recordings`` entry and each
-    ``dependence_edges`` value, and in the cache form each reference into
-    ``payload``.  The first mismatch raises :class:`LogFormatError` naming
-    its path, e.g. ``cores[0].final_regs``."""
+def _check_fields(data, keys: dict) -> None:
+    """Each of a run result's ``keys`` must be present with its JSON type."""
+    for key, types in keys.items():
+        if key not in data:
+            raise LogFormatError(f"run result is missing key {key!r}")
+        check_type(data[key], types, f"run result key {key!r}")
+
+
+def _check_recordings(recordings: dict, keys: dict) -> None:
+    for name, outputs in recordings.items():
+        check_type(outputs, (list,), f"recordings.{name}")
+        for index, output in enumerate(outputs):
+            check_keys(output, keys, f"recordings.{name}[{index}]")
+
+
+def _check_run_result(data, keys: dict) -> None:
+    """Check a serialized run result, or a cache-form header, down to
+    its ``keys``: the version, each of them and each ``cores`` entry.
+    The first mismatch raises :class:`LogFormatError` naming its path,
+    e.g. ``cores[0].final_regs``."""
     if type(data) is not dict:
         raise LogFormatError(
             f"run result must be a JSON object, got {_json_type(data)}")
@@ -529,26 +576,16 @@ def _check_run_result(data, payload) -> None:
         raise LogFormatError(
             f"unsupported run-result serialization version {version!r} "
             f"(this build reads {SERIALIZATION_VERSION})")
-    cached = payload is not None
-    keys = _CACHED_RUN_RESULT_KEYS if cached else _RUN_RESULT_KEYS
-    for key, types in keys.items():
-        if key not in data:
-            raise LogFormatError(f"run result is missing key {key!r}")
-        check_type(data[key], types, f"run result key {key!r}")
-    if cached:
-        _check_ref(data["program"], payload, "program")
+    _check_fields(data, keys)
     for index, core in enumerate(data["cores"]):
         check_keys(core, _CORE_KEYS, f"cores[{index}]")
-    recording_keys = _CACHED_RECORDING_KEYS if cached else _RECORDING_KEYS
-    for name, outputs in data["recordings"].items():
-        check_type(outputs, (list,), f"recordings.{name}")
-        for index, output in enumerate(outputs):
-            where = f"recordings.{name}[{index}]"
-            check_keys(output, recording_keys, where)
-            if cached:
-                _check_ref(output["log"], payload, f"{where}.log")
-    for name, rows in data["dependence_edges"].items():
+
+
+def _edges_from_dict(data: dict) -> dict[str, list[IntervalEdge]]:
+    for name, rows in data.items():
         check_int_rows(rows, 4, f"dependence_edges.{name}")
+    return {name: [IntervalEdge(*row) for row in rows]
+            for name, rows in data.items()}
 
 
 def _load_trace_from_dict(data: list | None, cores: int) -> list | None:
@@ -573,48 +610,150 @@ def _baselines_from_dict(per_core, path: str) -> list:
             for index, entry in enumerate(per_core)]
 
 
-def run_result_from_dict(data: dict, payload=None) -> RunResult:
-    """Rebuild a :class:`RunResult` written by :func:`run_result_to_dict`.
+def _header_fields(data: dict) -> dict:
+    """The :class:`RunResult` fields the wire form and the cache form's
+    header hold alike."""
+    from ..storage import config_from_dict
 
-    With ``payload``, ``data`` is the cache form
-    (:func:`split_run_result`): the program and every log are references
-    into ``payload`` and decode on first read (a ``functools.partial`` in
-    the field), so a bad one raises then.
-    Everything else is checked here.  A key that is missing or of the
-    wrong JSON type — at the top level, in a ``cores``, ``recordings``,
-    ``load_trace`` or ``baselines`` entry, in a recording's stats, a
-    core's TRAQ occupancy or histogram, a metric, a ``dependence_edges``
-    value, a machine or recorder config field, the program or the final
-    state — raises :class:`LogFormatError` naming its path.
-    """
-    from ..storage import config_from_dict, program_from_dict
-
-    _check_run_result(data, payload)
-    if payload is None:
-        program = program_from_dict(data["program"])
-    else:
-        offset, length = data["program"]
-        program = partial(_program_from_json,
-                          payload[offset:offset + length])
-    return RunResult(
-        program=program,
+    return dict(
         config=config_from_dict(MachineConfig, data["config"], "config"),
         cycles=data["cycles"],
         cores=[_core_result_from_dict(core, f"cores[{index}]")
                for index, core in enumerate(data["cores"])],
-        recordings={
-            name: [_recorder_output_from_dict(
-                       output, f"recordings.{name}[{index}]", payload)
-                   for index, output in enumerate(outputs)]
-            for name, outputs in data["recordings"].items()},
-        final_memory=final_state_from_dict(data["final_memory"],
-                                           data["cores"]),
         bus_transactions=data["bus_transactions"],
-        load_trace=_load_trace_from_dict(data["load_trace"],
-                                         len(data["cores"])),
         baselines={name: _baselines_from_dict(per_core, f"baselines.{name}")
                    for name, per_core in data["baselines"].items()},
-        dependence_edges={name: [IntervalEdge(*row) for row in rows]
-                          for name, rows in data["dependence_edges"].items()},
         metrics=metrics_snapshot_from_dict(data["metrics"]),
     )
+
+
+def _detail_from_json(data, variants: dict) -> dict:
+    """The detail part of a cache payload: JSON text, checked against the
+    header's ``variants`` (the same names, one output per log)."""
+    try:
+        detail = json.loads(bytes(data))
+    except ValueError as exc:
+        raise LogFormatError(f"detail is not valid JSON: {exc}") from None
+    if type(detail) is not dict:
+        raise LogFormatError(
+            f"detail must be a JSON object, got {_json_type(detail)}")
+    _check_fields(detail, _DETAIL_KEYS)
+    recordings = detail["recordings"]
+    if list(recordings) != list(variants):
+        raise LogFormatError(f"detail.recordings holds the variants "
+                             f"{list(recordings)}, the header {list(variants)}")
+    _check_recordings(recordings, _DETAIL_RECORDING_KEYS)
+    for name, outputs in recordings.items():
+        if len(outputs) != len(variants[name]["logs"]):
+            raise LogFormatError(
+                f"recordings.{name} holds {len(outputs)} per-core outputs "
+                f"for {len(variants[name]['logs'])} logs")
+    return detail
+
+
+class _Detail:
+    """The detail part of a cache payload, parsed and checked once, on
+    the first read of any :data:`DETAIL_FIELDS` field; each field decodes
+    from that one parse through its method here.  ``stats`` are the
+    header's merged stats, which the per-core outputs must agree with."""
+
+    def __init__(self, header: dict, payload, stats: dict):
+        self.header = header
+        self.payload = payload
+        self.stats = stats
+
+    @cached_property
+    def data(self) -> dict:
+        offset, length = self.header["detail"]
+        return _detail_from_json(self.payload[offset:offset + length],
+                                 self.header["variants"])
+
+    def recordings(self) -> dict[str, list[RecorderOutput]]:
+        recordings = {}
+        for name, outputs in self.data["recordings"].items():
+            logs = self.header["variants"][name]["logs"]
+            recordings[name] = [
+                _recorder_output_from_dict(
+                    output, f"recordings.{name}[{index}]",
+                    self.payload[offset:offset + length])
+                for index, (output, (offset, length))
+                in enumerate(zip(outputs, logs))]
+            if RecorderStats.merged(output.stats for output
+                                    in recordings[name]) != self.stats[name]:
+                raise LogFormatError(
+                    f"variants.{name}.stats is not recordings.{name}'s "
+                    f"stats merged over its cores")
+        return recordings
+
+    def final_memory(self) -> dict[int, int]:
+        return int_map_from_dict(self.data["final_memory"], "final_memory")
+
+    def load_trace(self) -> list | None:
+        return _load_trace_from_dict(self.data["load_trace"],
+                                     len(self.header["cores"]))
+
+    def dependence_edges(self) -> dict[str, list[IntervalEdge]]:
+        return _edges_from_dict(self.data["dependence_edges"])
+
+
+def run_result_from_dict(data: dict, payload=None) -> RunResult:
+    """Rebuild a :class:`RunResult` written by :func:`run_result_to_dict`.
+
+    With ``payload``, ``data`` is the cache form's header
+    (:func:`split_run_result`): the header is checked here and its merged
+    stats fill :meth:`RunResult.recording_stats`, while the program, the
+    logs and the :data:`DETAIL_FIELDS` decode on first read (a
+    ``functools.partial`` in the field), so a bad one raises then.  The
+    per-core outputs must merge to the header's stats.
+    A key that is missing or of the wrong JSON type — at the top level,
+    in a ``cores``, ``recordings``, ``load_trace`` or ``baselines`` entry,
+    in a recording's stats, a core's TRAQ occupancy or histogram, a
+    metric, a ``dependence_edges`` value, a machine or recorder config
+    field, the program or the final state — raises
+    :class:`LogFormatError` naming its path.
+    """
+    from ..storage import program_from_dict
+
+    if payload is not None:
+        return _run_result_from_cache_form(data, payload)
+    _check_run_result(data, _RUN_RESULT_KEYS)
+    _check_recordings(data["recordings"], _RECORDING_KEYS)
+    program = program_from_dict(data["program"])
+    fields = _header_fields(data)
+    return RunResult(
+        program=program,
+        recordings={
+            name: [_recorder_output_from_dict(
+                       output, f"recordings.{name}[{index}]")
+                   for index, output in enumerate(outputs)]
+            for name, outputs in data["recordings"].items()},
+        final_memory=int_map_from_dict(data["final_memory"], "final_memory"),
+        load_trace=_load_trace_from_dict(data["load_trace"],
+                                         len(data["cores"])),
+        dependence_edges=_edges_from_dict(data["dependence_edges"]),
+        **fields,
+    )
+
+
+def _run_result_from_cache_form(header: dict, payload) -> RunResult:
+    _check_run_result(header, _HEADER_KEYS)
+    size = len(payload)
+    _check_ref(header["program"], size, "program")
+    _check_ref(header["detail"], size, "detail")
+    stats = {}
+    for name, variant in header["variants"].items():
+        where = f"variants.{name}"
+        check_keys(variant, _VARIANT_KEYS, where)
+        for index, ref in enumerate(variant["logs"]):
+            _check_ref(ref, size, f"{where}.logs[{index}]")
+        stats[name] = recorder_stats_from_dict(variant["stats"],
+                                               f"{where}.stats")
+    detail = _Detail(header, payload, stats)
+    offset, length = header["program"]
+    result = RunResult(
+        program=partial(_program_from_json, payload[offset:offset + length]),
+        **{name: partial(getattr(detail, name)) for name in DETAIL_FIELDS},
+        **_header_fields(header),
+    )
+    result._merged_stats.update(stats)
+    return result

@@ -6,15 +6,17 @@ for a :class:`~repro.sim.machine.RunResult`, split into files:
 .. code-block:: text
 
     <dir>/
-      manifest.json    # {"format_version": 2, "payload_bytes",
+      manifest.json    # {"format_version": 3, "payload_bytes",
                        #  "payload_sha256", "result": the entry's header}
       program.json                # the payload: the program's JSON text,
+      detail.json                 # the per-core outputs and final state,
       logs/<variant>/core<i>.bin  # then each raw log, in header order
 
 The logs are the recorder's binary format (:mod:`repro.recorder.logfmt`),
 so the on-disk size *is* the hardware log size.  :func:`load_recording`
-checks the payload's length and SHA-256 and returns a
-:class:`StoredRecording` whose program and logs decode on first read.
+checks the payload's length and SHA-256, decodes ``detail.json`` and
+returns a :class:`StoredRecording` whose program and logs decode on first
+read.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ from .recorder.logfmt import decode_log, encode_log  # noqa: F401
 from .replay.replayer import (ReplayResult, Replayer, pick_variant,
                               verify_and_cost)
 from .sim.machine import RunResult
-from .sim.serialize import (check_keys, check_type, int_map_from_dict,
-                            run_result_from_dict, split_run_result)
+from .sim.serialize import (DETAIL_FIELDS, check_keys, check_type,
+                            int_map_from_dict, run_result_from_dict,
+                            split_run_result)
 
 __all__ = ["save_program", "load_program", "save_recording",
            "load_recording", "StoredRecording", "FORMAT_VERSION",
@@ -57,7 +60,8 @@ __all__ = ["save_program", "load_program", "save_recording",
            "program_to_dict", "program_from_dict"]
 
 #: v2: the result cache's entry form, digest-checked.
-FORMAT_VERSION = 2
+#: v3: the header keeps the merged stats; ``detail.json`` joins the payload.
+FORMAT_VERSION = 3
 
 #: Value -> member for the enum fields of an instruction dict; a member
 #: maps to itself, as ``Enum(member)`` does.
@@ -348,23 +352,22 @@ def config_from_dict(cls, data: dict, path: str = "config"):
 
 def _parts(root: Path, header: dict) -> list[tuple[object, Path]]:
     """A cache-form header's payload parts in payload order (the program,
-    then each log in header order): each one's reference and file.  A
-    variant name that is not one plain path component, or a log without
-    an integer ``core_id``, raises :class:`LogFormatError` naming it."""
-    parts = [(header.get("program"), root / "program.json")]
-    recordings = header.get("recordings")
-    check_type(recordings, (dict,), "run result key 'recordings'")
-    for name, outputs in recordings.items():
-        where = f"recordings.{name}"
+    the detail part, then each variant's logs in header and core order):
+    each one's reference and file.  A variant name that is not one plain
+    path component raises :class:`LogFormatError` naming it."""
+    parts = [(header.get("program"), root / "program.json"),
+             (header.get("detail"), root / "detail.json")]
+    variants = header.get("variants")
+    check_type(variants, (dict,), "run result key 'variants'")
+    for name, variant in variants.items():
+        where = f"variants.{name}"
         if name in (".", "..") or "\0" in name or \
                 PurePath(name).parts != (name,):
             raise LogFormatError(f"{where}: a variant name must be one plain "
                                  f"path component")
-        check_type(outputs, (list,), where)
-        for index, output in enumerate(outputs):
-            check_keys(output, {"core_id": (int,)}, f"{where}[{index}]")
-            parts.append((output.get("log"), root / "logs" / name /
-                          f"core{output['core_id']}.bin"))
+        check_keys(variant, {"logs": (list,)}, where)
+        parts.extend((ref, root / "logs" / name / f"core{index}.bin")
+                     for index, ref in enumerate(variant["logs"]))
     return parts
 
 
@@ -406,8 +409,8 @@ def load_recording(path: str | Path) -> StoredRecording:
 
     Every file is untrusted input.  The payload's parts are read in the
     header's order and must match its length and SHA-256, so a changed
-    byte of ``program.json`` or of a log fails here; the rest of the
-    header is checked as a run file is
+    byte of ``program.json``, ``detail.json`` or a log fails here; the
+    header and ``detail.json`` are then checked as a run file is
     (:func:`~repro.sim.serialize.run_result_from_dict`).  Each mismatch
     raises :class:`LogFormatError` naming its path.
     """
@@ -424,15 +427,19 @@ def load_recording(path: str | Path) -> StoredRecording:
     header = manifest["result"]
     payload = b"".join(part.read_bytes() for _, part in _parts(root, header))
     if len(payload) != manifest["payload_bytes"]:
-        raise LogFormatError(f"the payload (program.json and the logs) has "
-                             f"{len(payload)} bytes, manifest.payload_bytes "
-                             f"says {manifest['payload_bytes']}")
+        raise LogFormatError(f"the payload (program.json, detail.json and "
+                             f"the logs) has {len(payload)} bytes, "
+                             f"manifest.payload_bytes says "
+                             f"{manifest['payload_bytes']}")
     if hashlib.sha256(payload).hexdigest() != manifest["payload_sha256"]:
-        raise LogFormatError("the payload (program.json and the logs) does "
-                             "not match its SHA-256, manifest.payload_sha256")
+        raise LogFormatError("the payload (program.json, detail.json and the "
+                             "logs) does not match its SHA-256, "
+                             "manifest.payload_sha256")
     result = run_result_from_dict(header, payload)
-    # Copied field by field as stored: a read through the descriptors
-    # would decode the program and every log here.
+    for name in DETAIL_FIELDS:  # a bad detail.json fails the load
+        getattr(result, name)
+    # Copied field by field as stored: a read of the program or of a log
+    # through its descriptor would decode it here.
     stored = object.__new__(StoredRecording)
     vars(stored).update(vars(result))
     return stored

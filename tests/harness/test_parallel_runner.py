@@ -358,7 +358,7 @@ class TestCachePayload:
         cache.put(key, execute_run(key, TINY_VARIANTS), TINY_VARIANTS)
 
         def bad_first_entry_type(header, payload):
-            offset, _ = header["result"]["recordings"]["opt_4k"][1]["log"]
+            offset, _ = header["result"]["variants"]["opt_4k"]["logs"][1]
             payload[offset] |= 0xE0     # the unassigned entry type 7
         edit_entry(cache, key, bad_first_entry_type, redigest=True)
         result = cache.get(key, TINY_VARIANTS)
@@ -451,6 +451,74 @@ class TestCachePayload:
         assert counters == {"hits": 2, "misses": 0, "corrupt": 0,
                             "writes": 0}
         assert tables(names) == (cold, counters)
+
+
+    @pytest.mark.parametrize("field, where, edit", [
+        ("final_memory", 'final_memory["4096"] must be an integer',
+         lambda detail: detail["final_memory"].update({"4096": "x"})),
+        ("load_trace", "load_trace[0][0] must be an array of 3 integers",
+         lambda detail: detail.update(load_trace=[[5]])),
+        ("recordings", "recordings.opt_4k[1].stats.log_bits must be an "
+         "integer", lambda detail: detail["recordings"]["opt_4k"][1][
+             "stats"].update(log_bits="x")),
+    ], ids=["final-memory", "load-trace", "stats"])
+    def test_bad_detail_with_a_matching_digest_raises_on_first_read(
+            self, tmp_path, field, where, edit):
+        """The detail part is checked when first read, not at the hit;
+        every later read raises again."""
+        cache = ResultCache(tmp_path / "cache")
+        key = tiny_key()
+        cache.put(key, execute_run(key, TINY_VARIANTS), TINY_VARIANTS)
+
+        def bad_detail(header, payload):
+            offset, length = header["result"]["detail"]
+            detail = json.loads(payload[offset:offset + length])
+            edit(detail)
+            # Compact separators leave room for the longer value.
+            payload[offset:offset + length] = json.dumps(
+                detail, separators=(",", ":")).encode().ljust(length)
+        edit_entry(cache, key, bad_detail, redigest=True)
+        result = cache.get(key, TINY_VARIANTS)
+        assert result is not None and cache.corrupt == 0
+        assert result.recording_stats("opt_4k").log_bits > 0
+        for _ in range(2):
+            with pytest.raises(LogFormatError, match=re.escape(where)):
+                getattr(result, field)
+
+    def test_warm_figures_parse_no_payload_part(self, tmp_path,
+                                                monkeypatch):
+        """A warm fig1 and fig9-fig12 pass parses no program, no detail
+        part and no log; the four detail fields share one parse."""
+        from repro.harness import figures
+        from repro.sim import serialize
+
+        spec = f"sqlite:{tmp_path}/c.sqlite"
+
+        def regenerate():
+            runner = ExperimentRunner(seed=1, scale=0.05,
+                                      workloads=("fft", "radix"),
+                                      cache_backend=spec)
+            for name in ("fig1", "fig9", "fig10", "fig11", "fig12"):
+                figures.EXPERIMENTS[name](runner, 2)
+            runner.cache.close()
+            return runner
+
+        regenerate()
+        calls = []
+        for name in ("_program_from_json", "_detail_from_json",
+                     "decode_log"):
+            original = getattr(serialize, name)
+            monkeypatch.setattr(serialize, name, lambda *args, name=name,
+                                original=original: (calls.append(name),
+                                                    original(*args))[1])
+        warm = regenerate()
+        assert calls == []
+        result = warm.record("fft", cores=2)
+        for name in serialize.DETAIL_FIELDS:
+            getattr(result, name)
+        assert calls == ["_detail_from_json"]
+        result.log_entries("opt_4k")
+        assert calls[1:] == ["decode_log"] * 2
 
 
 # ---------------------------------------------------------- parallel runner
@@ -658,6 +726,35 @@ class TestExperimentRunnerIntegration:
         runner = sweep_runner(jobs=1)
         assert runner.prefetch([tiny_key("fft"), tiny_key("radix")]) == 2
         assert runner.result(tiny_key("fft")).cycles > 0
+
+    def test_pooled_sweep_splits_each_reply_once(self, tmp_path,
+                                                 monkeypatch):
+        """At ``jobs=2`` the parent splits each worker's wire form once:
+        it encodes no result again for the cache and decodes each one
+        only into the cache form, whose entries equal a serial sweep's."""
+        keys = [tiny_key("fft"), tiny_key("radix")]
+        serial = ResultCache(tmp_path / "serial")
+        sweep_runner(jobs=1, cache=serial).prefetch(keys)
+        calls = []
+        to_dict, from_dict = RunResult.to_dict, RunResult.from_dict
+        monkeypatch.setattr(RunResult, "to_dict", lambda self: (
+            calls.append("to_dict"), to_dict(self))[1])
+        monkeypatch.setattr(RunResult, "from_dict", staticmethod(
+            lambda data, payload=None: (calls.append(payload is not None),
+                                        from_dict(data, payload))[1]))
+        pooled = ResultCache(tmp_path / "pooled")
+        runner = sweep_runner(jobs=2, cache=pooled)
+        assert runner.prefetch(keys) == 2
+        # Pool workers are forked: their to_dict calls land in their own
+        # copy of ``calls``.
+        assert calls == [True, True]
+        for key in keys:
+            assert edit_entry(pooled, key)["result"] == \
+                edit_entry(serial, key)["result"]
+            assert read_entry(pooled, key).split(b"\n", 1)[1] == \
+                read_entry(serial, key).split(b"\n", 1)[1]
+            assert runner.result(key).recording_stats("opt_4k") == \
+                serial.get(key, TINY_VARIANTS).recording_stats("opt_4k")
 
     def test_record_never_starts_a_pool(self, monkeypatch):
         """``record`` stays in-process whatever the sweep width."""

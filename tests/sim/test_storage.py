@@ -2,6 +2,7 @@
 
 import base64
 import dataclasses
+import functools
 import gc
 import hashlib
 import json
@@ -20,12 +21,12 @@ from repro.common.config import (
 )
 from repro.common.errors import LogFormatError, WorkloadError
 from repro.common.hashing import canonical_json
-from repro.harness.runner import baseline_factories_for
+from repro.harness.runner import VARIANTS, baseline_factories_for
 from repro.isa.instructions import AluOp, Instruction, Opcode, RmwOp
 from repro.recorder.logfmt import IntervalFrame, decode_log, encode_log
 from repro.recorder.ordering import IntervalEdge
 from repro.sim import Machine, RunResult
-from repro.sim.serialize import run_result_to_dict
+from repro.sim.serialize import recorder_stats_to_dict, run_result_to_dict
 from repro.storage import (
     FORMAT_VERSION,
     config_from_dict,
@@ -358,13 +359,22 @@ def redigest(root) -> None:
         return [len(payload) - len(blob), len(blob)]
 
     header["program"] = add(root / "program.json")
-    for name, outputs in header["recordings"].items():
-        for output in outputs:
-            output["log"] = add(root / "logs" / name /
-                                f"core{output['core_id']}.bin")
+    header["detail"] = add(root / "detail.json")
+    for name, variant in header["variants"].items():
+        variant["logs"] = [add(root / "logs" / name / f"core{index}.bin")
+                           for index in range(len(variant["logs"]))]
     manifest.update(payload_bytes=len(payload),
                     payload_sha256=hashlib.sha256(payload).hexdigest())
     (root / "manifest.json").write_text(json.dumps(manifest))
+
+
+def edit_detail(root, edit) -> None:
+    """Rewrite ``root``'s ``detail.json`` after ``edit(detail)`` changed
+    it, and re-digest, so that the change reaches its decoder."""
+    detail = json.loads((root / "detail.json").read_text())
+    edit(detail)
+    (root / "detail.json").write_text(json.dumps(detail))
+    redigest(root)
 
 
 def edit_manifest(root, edit) -> None:
@@ -480,8 +490,10 @@ class TestRecordingIsTheCacheForm:
         assert json.dumps(stored.to_dict()) == json.dumps(result.to_dict())
 
     def test_files_are_the_payload_parts(self, fft_run, tmp_path):
-        """``program.json`` is the program's JSON text and each log file
-        its hardware log, as the run file's base64 ``log`` holds it."""
+        """``program.json`` is the program's JSON text, ``detail.json`` the
+        per-core outputs without their logs and the final state, and each
+        log file its hardware log, as the run file's base64 ``log`` holds
+        it; the manifest keeps each variant's merged stats."""
         root = save_recording(fft_run, tmp_path / "rec")
         wire = fft_run.to_dict()
         assert (root / "program.json").read_text() == \
@@ -493,9 +505,17 @@ class TestRecordingIsTheCacheForm:
             assert log.read_bytes() == base64.b64decode(output["log"])
             assert len(log.read_bytes()) == -(-output["bit_length"] // 8)
         manifest = json.loads((root / "manifest.json").read_text())
-        assert manifest["format_version"] == FORMAT_VERSION == 2
-        assert manifest["result"]["recordings"]["opt_4k"][0]["stats"] == \
-            wire["recordings"]["opt_4k"][0]["stats"]
+        assert manifest["format_version"] == FORMAT_VERSION == 3
+        assert manifest["result"]["variants"]["opt_4k"]["stats"] == \
+            recorder_stats_to_dict(fft_run.recording_stats("opt_4k"))
+        detail = json.loads((root / "detail.json").read_text())
+        assert detail == {
+            "recordings": {"opt_4k": [
+                {key: value for key, value in output.items()
+                 if key != "log"}
+                for output in wire["recordings"]["opt_4k"]]},
+            **{key: wire[key] for key in ("final_memory", "load_trace",
+                                          "dependence_edges")}}
 
     def test_load_decodes_nothing(self, fft_run, tmp_path, monkeypatch):
         """Loading reads no program and no log through their decoders;
@@ -577,7 +597,30 @@ class TestRecordingIsTheCacheForm:
             format_version=1))
         with pytest.raises(LogFormatError, match=re.escape(
                 "unsupported recording format version 1 (this build "
-                "reads 2)")):
+                "reads 3)")):
+            load_recording(root)
+
+    def test_version_2_is_refused_by_name(self, fft_run, tmp_path):
+        """A version-2 directory (per-core outputs and the final state in
+        the manifest, no ``detail.json``) is refused by its version,
+        before any payload file is read."""
+        root = save_recording(fft_run, tmp_path / "rec")
+        wire = fft_run.to_dict()
+        (root / "detail.json").unlink()
+
+        def version_2(manifest):
+            header = manifest["result"]
+            del header["detail"], header["variants"]
+            header.update({key: wire[key] for key in (
+                "final_memory", "load_trace", "dependence_edges")})
+            header["recordings"] = {
+                name: [{**output, "log": [0, 0]} for output in outputs]
+                for name, outputs in wire["recordings"].items()}
+            manifest["format_version"] = 2
+        edit_manifest(root, version_2)
+        with pytest.raises(LogFormatError, match=re.escape(
+                "unsupported recording format version 2 (this build "
+                "reads 3)")):
             load_recording(root)
 
     @pytest.mark.parametrize("kind", ["dotdot", "absolute"])
@@ -592,14 +635,14 @@ class TestRecordingIsTheCacheForm:
         name = ".." if kind == "dotdot" else str(outside)
 
         def rename(manifest):
-            recordings = manifest["result"]["recordings"]
-            recordings[name] = recordings.pop("opt_4k")
+            variants = manifest["result"]["variants"]
+            variants[name] = variants.pop("opt_4k")
         edit_manifest(root, rename)
         opened = []
         read_bytes = Path.read_bytes
         monkeypatch.setattr(Path, "read_bytes", lambda path: (
             opened.append(path), read_bytes(path))[1])
-        message = (f"recordings.{name}: a variant name must be one plain "
+        message = (f"variants.{name}: a variant name must be one plain "
                    f"path component")
         with pytest.raises(LogFormatError, match=re.escape(message)):
             load_recording(root)
@@ -631,6 +674,73 @@ class TestRecordingIsTheCacheForm:
             f"{bits} bits ({bits / 8 / 1024:.2f} KiB on disk)")
 
 
+    def test_load_decodes_the_detail_part(self, fft_run, tmp_path):
+        """A directory is checked in full at load: the per-core outputs,
+        final memory, load trace and edges are decoded there."""
+        from repro.sim.serialize import DETAIL_FIELDS
+
+        stored = load_recording(save_recording(fft_run, tmp_path / "rec"))
+        for name in DETAIL_FIELDS:
+            assert type(vars(stored)[name]) is not functools.partial, name
+        assert stored.final_memory == fft_run.final_memory
+
+    @pytest.mark.parametrize("where, edit", [
+        ('final_memory["4096"] must be an integer',
+         lambda detail: detail["final_memory"].update({"4096": "x"})),
+        ("load_trace[0][0] must be an array of 3 integers",
+         lambda detail: detail.update(load_trace=[[5]])),
+        ("recordings.opt_4k[1].stats.log_bits must be an integer",
+         lambda detail: detail["recordings"]["opt_4k"][1]["stats"].update(
+             log_bits="x")),
+        ("variants.opt_4k.stats is not recordings.opt_4k's stats merged "
+         "over its cores",
+         lambda detail: detail["recordings"]["opt_4k"][1]["stats"].update(
+             log_bits=1)),
+        ("detail.recordings holds the variants []",
+         lambda detail: detail.update(recordings={})),
+        ("recordings.opt_4k holds 1 per-core outputs for 2 logs",
+         lambda detail: detail["recordings"]["opt_4k"].pop()),
+    ], ids=["final-memory", "load-trace", "stats", "stats-disagree",
+            "no-outputs", "missing-output"])
+    def test_redigested_bad_detail_fails_the_load(self, fft_run, tmp_path,
+                                                  where, edit):
+        root = save_recording(fft_run, tmp_path / "rec")
+        edit_detail(root, edit)
+        with pytest.raises(LogFormatError, match=re.escape(where)):
+            load_recording(root)
+
+
+class TestHeaderStats:
+    """The cache form's header keeps each variant's stats merged over its
+    cores, which is all ``recording_stats`` returns for a loaded
+    result."""
+
+    @pytest.mark.parametrize("app", WORKLOAD_NAMES)
+    def test_header_stats_are_the_merged_per_core_stats(self, app):
+        """For every app and all six variants, field by field and in the
+        key order of the dict fields (fig11 renders that order)."""
+        from repro.recorder.mrr import RecorderStats
+        from repro.sim.serialize import run_result_from_dict, \
+            split_run_result
+
+        result = Machine(MachineConfig(num_cores=2, seed=1), VARIANTS).run(
+            build_workload(app, num_threads=2, scale=0.05, seed=1))
+        loaded = run_result_from_dict(*split_run_result(result.to_dict()))
+        for variant in VARIANTS:
+            header = loaded.recording_stats(variant)
+            merged = RecorderStats.merged(
+                output.stats for output in loaded.recordings[variant])
+            live = result.recording_stats(variant)
+            for field in dataclasses.fields(RecorderStats):
+                assert getattr(header, field.name) == \
+                    getattr(merged, field.name) == \
+                    getattr(live, field.name), (variant, field.name)
+            for name in RecorderStats.DICT_FIELDS:
+                assert list(getattr(header, name)) == \
+                    list(getattr(merged, name)) == \
+                    list(getattr(live, name)), (variant, name)
+
+
 @pytest.fixture(scope="module")
 def recorded():
     program = litmus_program(LITMUS_TESTS["MP"], staggers=(0, 5))
@@ -648,8 +758,8 @@ class TestEdgeEncoding:
         assert loaded == original
         assert all(isinstance(edge, IntervalEdge) for edge in loaded)
         # The on-disk form is plain 4-int rows, wire-stable.
-        rows = json.loads((root / "manifest.json").read_text())[
-            "result"]["dependence_edges"]["default"]
+        rows = json.loads((root / "detail.json").read_text())[
+            "dependence_edges"]["default"]
         assert rows == [[e.src_core, e.src_cisn, e.dst_core, e.dst_cisn]
                         for e in original]
 
@@ -698,8 +808,8 @@ class TestRecorderConfigWidths:
 
     def test_manifest_preserves_widths(self, recorded, tmp_path):
         root = save_recording(recorded, tmp_path / "rec")
-        manifest = json.loads((root / "manifest.json").read_text())
-        meta = manifest["result"]["recordings"]["default"][0]["config"]
+        detail = json.loads((root / "detail.json").read_text())
+        meta = detail["recordings"]["default"][0]["config"]
         assert meta["cisn_bits"] == 16
         assert meta["nmi_bits"] == 4
         stored = load_recording(root)

@@ -246,12 +246,13 @@ class TestFailureExitCodes:
             assert "'nope'" in err and "available: opt_4096" in err
 
     def test_malformed_manifest(self, run_json, tmp_path, capsys):
-        """Each malformed manifest makes both replay and inspect exit 2
-        with one error line naming the bad key's path.  Below
-        ``manifest.result`` the path is the one a run file's error names."""
+        """Each malformed manifest, or ``detail.json`` (re-digested), makes
+        both replay and inspect exit 2 with one error line naming the bad
+        key's path.  Below ``manifest.result`` and in ``detail.json`` the
+        path is the one a run file's error names."""
         variant = "opt_4096"
 
-        def setter(*path, value):
+        def setter(*path, value, name="manifest.json"):
             def mutate(manifest):
                 parent = manifest
                 for step in path[:-1]:
@@ -260,10 +261,13 @@ class TestFailureExitCodes:
                     del parent[path[-1]]
                 else:
                     parent[path[-1]] = value
-            return mutate
+            return mutate, name
 
         def result(*path, value):
             return setter("result", *path, value=value)
+
+        def detail(*path, value):
+            return setter(*path, value=value, name="detail.json")
 
         recording = f"recordings.{variant}[0]"
         cases = [
@@ -277,21 +281,32 @@ class TestFailureExitCodes:
              result("cycles", value="x")),
             ("run result key 'cores' must be an array",
              result("cores", value=5)),
+            ("run result key 'variants' must be an object",
+             result("variants", value=[])),
+            (f"variants.{variant}.stats.log_bits must be an integer",
+             result("variants", variant, "stats", "log_bits", value="x")),
+            (f"variants.{variant} is missing key 'logs'",
+             result("variants", variant, "logs", value=None)),
+            (f"variants.{variant}.logs[0] must be an [offset, length] "
+             f"reference", result("variants", variant, "logs", 0,
+                                  value=[0, 10 ** 9])),
+            ("detail must be an [offset, length] reference",
+             result("detail", value=[-1, 2])),
             ("run result key 'recordings' must be an object",
-             result("recordings", value=[])),
+             detail("recordings", value=[])),
             (f"{recording}.bit_length must be an integer",
-             result("recordings", variant, 0, "bit_length", value="9")),
+             detail("recordings", variant, 0, "bit_length", value="9")),
             (f"{recording}.core_id must be an integer",
-             result("recordings", variant, 0, "core_id", value="0")),
+             detail("recordings", variant, 0, "core_id", value="0")),
             (f"{recording}.config must be an object",
-             result("recordings", variant, 0, "config", value=3)),
+             detail("recordings", variant, 0, "config", value=3)),
             (f"{recording}.config.cisn_bits must be an integer",
-             result("recordings", variant, 0, "config", "cisn_bits",
+             detail("recordings", variant, 0, "config", "cisn_bits",
                     value="x")),
             ("run result key 'final_memory' must be an object",
-             result("final_memory", value=[1])),
+             detail("final_memory", value=[1])),
             ("run result is missing key 'final_memory'",
-             result("final_memory", value=None)),
+             detail("final_memory", value=None)),
             ("run result key 'config' must be an object",
              result("config", value=[])),
             ("config.l1 must be an object", result("config", "l1",
@@ -299,10 +314,10 @@ class TestFailureExitCodes:
             ("config.consistency has unknown value 'XYZ'",
              result("config", "consistency", value="XYZ")),
             (f"dependence_edges.{variant} must be an array",
-             result("dependence_edges", variant, value="2")),
+             detail("dependence_edges", variant, value="2")),
         ]
-        for where, mutate in cases:
-            bad = _tampered(run_json["rec"], tmp_path, mutate)
+        for where, (mutate, name) in cases:
+            bad = _tampered(run_json["rec"], tmp_path, mutate, name)
             for argv in (["replay", str(bad)], ["inspect", str(bad)]):
                 assert main(argv) == 2, (where, argv)
                 err = capsys.readouterr().err
@@ -346,26 +361,32 @@ class TestFailureExitCodes:
 
     def test_malformed_final_state(self, run_json, tmp_path, capsys):
         """A final-memory key or value, or a final register, of the wrong
-        type is bad input naming its path in both forms."""
+        type is bad input naming its path in both forms.  A directory
+        keeps the final memory in ``detail.json`` (re-digested here) and
+        the registers in its manifest."""
         memory = json.loads(run_json["run"].read_text())["final_memory"]
         addr = min(memory, key=int)
         cases = [
-            (f'final_memory["{addr}"] must be an integer',
-             lambda memory, cores: memory.update({addr: "x"})),
+            (f'final_memory["{addr}"] must be an integer', "final_memory",
+             lambda memory: memory.update({addr: "x"})),
             ('final_memory["zz"]: the key must be a decimal integer',
-             lambda memory, cores: memory.update(zz=1)),
-            ("cores[0].final_regs[1] must be an integer",
-             lambda memory, cores: cores[0]["final_regs"]
-             .__setitem__(1, "x")),
+             "final_memory", lambda memory: memory.update(zz=1)),
+            ("cores[0].final_regs[1] must be an integer", "cores",
+             lambda cores: cores[0]["final_regs"].__setitem__(1, "x")),
         ]
         run_file = tmp_path / "bad.json"
-        for where, mutate in cases:
-            directory = _tampered(
-                run_json["rec"], tmp_path,
-                lambda manifest: mutate(manifest["result"]["final_memory"],
-                                        manifest["result"]["cores"]))
+        for where, key, mutate in cases:
+            if key == "cores":
+                directory = _tampered(
+                    run_json["rec"], tmp_path,
+                    lambda manifest: mutate(manifest["result"]["cores"]))
+            else:
+                directory = _tampered(
+                    run_json["rec"], tmp_path,
+                    lambda detail: mutate(detail["final_memory"]),
+                    "detail.json")
             data = json.loads(run_json["run"].read_text())
-            mutate(data["final_memory"], data["cores"])
+            mutate(data[key])
             run_file.write_text(json.dumps(data))
             _assert_rejected((directory, run_file), where, capsys)
 
@@ -488,12 +509,12 @@ class TestReplayVerifiesEveryForm:
     @pytest.mark.parametrize("parallel", [False, True])
     def test_flipped_final_memory_word_diverges(self, run_json, tmp_path,
                                                 capsys, parallel):
-        def flip(manifest):
-            memory = manifest["result"]["final_memory"]
+        def flip(detail):
+            memory = detail["final_memory"]
             addr = min(memory, key=int)
             memory[addr] ^= 1
 
-        bad = _tampered(run_json["rec"], tmp_path, flip)
+        bad = _tampered(run_json["rec"], tmp_path, flip, "detail.json")
         argv = ["replay", str(bad)] + (["--parallel"] if parallel else [])
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -522,7 +543,12 @@ class TestReplayVerifiesEveryForm:
             del manifest["result"]["cores"][1:]
 
         def empty(manifest):
-            manifest["result"]["recordings"] = {}
+            manifest["result"]["variants"] = {}
+            # _tampered's copy: its detail.json drops the outputs too.
+            path = tmp_path / "tampered" / "detail.json"
+            detail = json.loads(path.read_text())
+            detail["recordings"] = {}
+            path.write_text(json.dumps(detail))
 
         for mutate, message in ((truncate, "final state of 1 cores"),
                                 (empty, "no variant to replay")):

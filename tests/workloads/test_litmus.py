@@ -118,3 +118,26 @@ def test_forbidden_sets_are_complements():
             forbidden = test.forbidden(model)
             assert not (allowed & forbidden)
             assert len(allowed | forbidden) == 2 ** test.outcome_slots
+
+
+def test_stagger_padding_is_one_instruction_validated_once(monkeypatch):
+    """A staggered thread's padding NOPs are one frozen object at every
+    position, so the thread validates it once."""
+    from repro.isa.instructions import Instruction, Opcode
+
+    calls = []
+    original = Instruction.validate
+
+    def counting(self, program_length):
+        calls.append(self)
+        return original(self, program_length)
+
+    monkeypatch.setattr(Instruction, "validate", counting)
+    program = litmus_program(LITMUS_TESTS["SB"], staggers=(0, 1400))
+    padding = program.threads[1].instructions[:1400]
+    assert padding[0].opcode is Opcode.NOP
+    assert all(instruction is padding[0] for instruction in padding)
+    assert program.threads[1].instructions[1400].opcode is not Opcode.NOP
+    assert calls.count(padding[0]) == 1
+    assert len(calls) == len({id(instruction) for thread in program.threads
+                              for instruction in thread.instructions})
